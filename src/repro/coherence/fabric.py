@@ -33,19 +33,23 @@ Multi-line accesses model memory-level parallelism: the first line pays
 full latency, subsequent lines overlap and pay ``latency / mlp``.
 
 **Fast path.** When the owning simulator runs its default fast loop (no
-``REPRO_SIM_SLOWPATH=1``) and no fault injector is attached, accesses go
-through a hot path that memoizes *transition plans* — the resolved cost
-constant, precomputed link message rows and counter cells for one
-``(operation, line situation, homing, requester socket)`` combination —
-so steady-state transitions skip all cost recomputation, message-size
-resolution and counter-name formatting. Plans are invalidated when the
-cost model is swapped, the link is rescaled, or the counter bag is
-reset; attaching fabric-level faults bypasses the fast path entirely so
-fault draws keep their reference order, and attaching a flight recorder
-(:meth:`CoherenceFabric.attach_flight`) does the same so its recording
-hooks live only in the reference implementations. Results are
-bit-identical to the reference path (the determinism suite compares
-full metric snapshots across both).
+``REPRO_SIM_SLOWPATH=1``), accesses go through a hot path that memoizes
+*transition plans* — the resolved cost constant, precomputed link
+message rows and counter cells for one ``(operation, line situation,
+homing, requester socket)`` combination — so steady-state transitions
+skip all cost recomputation, message-size resolution and counter-name
+formatting. Plans are invalidated when the cost model is swapped, the
+link is rescaled, or the counter bag is reset. Faulted runs stay on the
+plan path: the link books every plan row through the same routine as a
+per-message :meth:`Link.occupy` (fault draws included), and the plan
+path draws snoop faults at its three remote-snoop sites in the same
+order as the reference :meth:`CoherenceFabric._miss`,
+:meth:`~CoherenceFabric._fill_from_dram` and
+:meth:`~CoherenceFabric._invalidate_others`. Attaching a flight recorder
+(:meth:`CoherenceFabric.attach_flight`) or a sanitizer forces the
+reference path, so their recording hooks live only in the reference
+implementations. Results are bit-identical to the reference path (the
+determinism suite compares full metric snapshots across both).
 """
 
 from __future__ import annotations
@@ -237,8 +241,8 @@ class CoherenceFabric(Instrumented):
         The timeline sampler is deliberately absent — it hangs off the
         simulator's clock advances and never forces the reference path
         (attached runs are fingerprint-identical on either path); the
-        fault injector is also absent because :meth:`access` checks
-        ``self.faults`` per call rather than flipping ``_fastpath``.
+        fault injector is also absent because the plan path draws its
+        faults in reference order.
         """
         return (self.flight, self.sanitizer)
 
@@ -283,28 +287,12 @@ class CoherenceFabric(Instrumented):
             self._plans_epoch = self.counters.epoch
         return self._plans
 
-    def _msg_row(self, cls: MessageClass, direction: int, charge: bool = True) -> tuple:
-        """Precomputed half of a :meth:`Link.occupy_pair` plan.
-
-        Embeds the direction's live statistics cells; building a row is
-        the same moment the reference path would first send the message,
-        so the per-class cell appears in the same order either way. Two
-        rows concatenate into one flat 16-field plan.
-        """
-        link = self.link
-        payload = cls.payload_bytes(0)
-        wire = int((payload + link.header_overhead) * 1.0)
-        ser = wire / link.bandwidth
-        st = link.stats[direction]
-        return (direction, cls, payload, wire, ser, charge,
-                st.agg, st.class_cell(cls))
-
     def _build_dram_plan(self, write: bool, socket: int) -> tuple:
         """Remote-homed DRAM fill: snoop out, data-class back."""
         cls = MessageClass.RFO if write else MessageClass.READ
         msgs = (
-            self._msg_row(MessageClass.SNOOP, socket)
-            + self._msg_row(cls, 1 - socket)
+            self.link.plan_occupy(MessageClass.SNOOP, socket)
+            + self.link.plan_occupy(cls, 1 - socket)
         )
         cell = self.counters.cell(f"s{socket}.rfo" if write else f"s{socket}.read")
         return (self._cost.remote_dram, msgs, cell)
@@ -319,8 +307,8 @@ class CoherenceFabric(Instrumented):
             spec_cell = None
         cls = MessageClass.RFO if write else MessageClass.READ
         msgs = (
-            self._msg_row(MessageClass.SNOOP, socket)
-            + self._msg_row(cls, 1 - socket)
+            self.link.plan_occupy(MessageClass.SNOOP, socket)
+            + self.link.plan_occupy(cls, 1 - socket)
         )
         cell = self.counters.cell(f"s{socket}.rfo" if write else f"s{socket}.read")
         return (base, msgs, cell, spec_cell)
@@ -328,8 +316,8 @@ class CoherenceFabric(Instrumented):
     def _build_upgrade_plan(self, socket: int) -> tuple:
         """Remote invalidation on a store upgrade: snoop out, ack back."""
         msgs = (
-            self._msg_row(MessageClass.SNOOP, socket)
-            + self._msg_row(MessageClass.ACK, 1 - socket)
+            self.link.plan_occupy(MessageClass.SNOOP, socket)
+            + self.link.plan_occupy(MessageClass.ACK, 1 - socket)
         )
         cell = self.counters.cell(f"s{socket}.rfo")
         return (self._cost.remote_invalidate, msgs, cell)
@@ -337,9 +325,10 @@ class CoherenceFabric(Instrumented):
     def _build_prefetch_plan(self, remote: bool, socket: int) -> tuple:
         """Speculative line fetch; bandwidth-only when remote."""
         if remote:
+            plan = self.link.plan_occupy
             msgs = (
-                self._msg_row(MessageClass.SNOOP, socket, charge=False)
-                + self._msg_row(MessageClass.PREFETCH, 1 - socket, charge=False)
+                plan(MessageClass.SNOOP, socket, charge_queueing=False)
+                + plan(MessageClass.PREFETCH, 1 - socket, charge_queueing=False)
             )
             cell = self.counters.cell(f"s{socket}.prefetch_remote")
         else:
@@ -375,7 +364,7 @@ class CoherenceFabric(Instrumented):
         first line pays full (possibly pipelined, for writes) latency;
         further lines of a multi-line access overlap via ``mlp``.
         """
-        if not self._fastpath or self.faults is not None:
+        if not self._fastpath:
             return self._access_slow(agent, addr, size, write)
         if size <= 0:
             raise CoherenceError(f"access size must be positive, got {size}")
@@ -510,7 +499,7 @@ class CoherenceFabric(Instrumented):
         line pays ``latency / mlp``. Bandwidth and protocol state are
         charged for every line exactly as in :meth:`access`.
         """
-        if not self._fastpath or self.faults is not None:
+        if not self._fastpath:
             return self._access_burst_slow(agent, spans, write)
         total = 0.0
         first = True
@@ -925,6 +914,8 @@ class CoherenceFabric(Instrumented):
                 base, msgs, cell = plan
                 latency = self.link.occupy_pair(msgs, agent.name, base)
                 cell[0] += 1.0
+                if self.faults is not None:
+                    latency += self._snoop_disruption(agent)
             self._install(agent, line, _MODIFIED if write else _EXCLUSIVE, region)
             return latency
         local_holder: Optional[CacheAgent] = None
@@ -962,6 +953,8 @@ class CoherenceFabric(Instrumented):
                 msgs, agent.name, self._pending_queue
             )
             cell[0] += 1.0
+            if self.faults is not None:
+                self._pending_queue += self._snoop_disruption(agent)
         else:
             latency = self._local_cache
         if write:
@@ -1053,7 +1046,7 @@ class CoherenceFabric(Instrumented):
         if not found_other:
             return 0.0
         if remote:
-            if self._fastpath and self.faults is None:
+            if self._fastpath:
                 plans = self._plans
                 if self.counters.epoch != self._plans_epoch:
                     plans.clear()
@@ -1067,6 +1060,8 @@ class CoherenceFabric(Instrumented):
                     msgs, agent.name, self._pending_queue
                 )
                 cell[0] += 1.0
+                if self.faults is not None:
+                    self._pending_queue += self._snoop_disruption(agent)
                 return base
             self._pending_queue += self.link.occupy(
                 MessageClass.SNOOP, direction=agent.socket, actor=agent.name
@@ -1169,7 +1164,7 @@ class CoherenceFabric(Instrumented):
                     crosses = True
         else:
             crosses = region.home != agent.socket
-        if self._fastpath and self.faults is None:
+        if self._fastpath:
             plans = self._plans
             if self.counters.epoch != self._plans_epoch:
                 plans.clear()

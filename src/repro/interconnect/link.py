@@ -31,30 +31,20 @@ class LinkStats:
     """Aggregate per-direction traffic counters.
 
     The four scalar counters live in the mutable list :attr:`agg`
-    (``[messages, payload_bytes, wire_bytes, busy_ns]``) so batched
-    senders (:meth:`Link.occupy_pair`) can bump them with plain list
-    stores; the named attributes stay available as read-only properties
-    for snapshot-time consumers.
+    (``[messages, payload_bytes, wire_bytes, busy_ns]``) so
+    :meth:`Link._book` can bump them with plain list stores; the named
+    attributes stay available as read-only properties for snapshot-time
+    consumers.
     """
 
     __slots__ = ("agg", "_per_class")
 
     def __init__(self) -> None:
         self.agg: list = [0, 0, 0, 0.0]
-        # One [count, wire_bytes] cell per message class: note() is on
-        # the per-message hot path, so both counters share a single
-        # dict lookup.
+        # One [count, wire_bytes] cell per message class: senders
+        # resolve the cell once (class_cell) and bump both counters
+        # through it on the per-message hot path.
         self._per_class: Dict[str, list] = {}
-
-    def note(self, cls: MessageClass, payload: int, wire: int, ser_ns: float) -> None:
-        agg = self.agg
-        agg[0] += 1
-        agg[1] += payload
-        agg[2] += wire
-        agg[3] += ser_ns
-        entry = self.class_cell(cls)
-        entry[0] += 1
-        entry[1] += wire
 
     @property
     def messages(self) -> int:
@@ -159,6 +149,11 @@ class Link:
         #: precomputed wire/serialization figures can invalidate them.
         self.on_scaled: Optional[Callable[[], None]] = None
 
+    #: Utilization-measurement window, ns.
+    WINDOW_NS = 2000.0
+    #: Utilization cap: keeps the M/D/1 wait finite at saturation.
+    RHO_CAP = 0.97
+
     # ------------------------------------------------------------------
     def one_way(
         self,
@@ -182,20 +177,8 @@ class Link:
         Returns:
             Nanoseconds from "now" until delivery at the far end.
         """
-        if direction not in (0, 1):
-            raise InterconnectError(f"direction must be 0 or 1, got {direction}")
-        payload = cls.payload_bytes(payload_bytes or 0)
-        wire = payload + self.header_overhead
-        ser = wire / self.bandwidth
-        disrupt = 0.0
-        if self.faults is not None:
-            ser *= self.faults.link_ser_scale(self.name, self.sim.now)
-            disrupt = self._fault_disruptions(cls, direction, ser, wire, actor)
-        wait = self._enqueue(direction, ser, actor)
-        self.stats[direction].note(cls, payload, wire, ser)
-        if charge_queueing:
-            return wait + ser + self.latency_ns + disrupt
-        return ser + self.latency_ns + disrupt
+        row = self.plan_occupy(cls, direction, payload_bytes, charge_queueing)
+        return self._book(*row, actor, self.latency_ns)
 
     def occupy(
         self,
@@ -204,7 +187,6 @@ class Link:
         payload_bytes: Optional[int] = None,
         inflate: float = 1.0,
         charge_queueing: bool = True,
-        now: Optional[float] = None,
         actor: str = "anon",
     ) -> float:
         """Consume bandwidth for one message; return only the queueing delay.
@@ -214,8 +196,7 @@ class Link:
         congestion-induced wait returned here. ``inflate`` scales the
         wire size to model inefficient encodings (non-temporal
         partial-line streams). ``actor`` names the issuing agent for the
-        per-actor utilization accounting (``now`` is accepted for
-        compatibility but windows roll on simulator time).
+        per-actor utilization accounting.
         """
         if direction not in (0, 1):
             raise InterconnectError(f"direction must be 0 or 1, got {direction}")
@@ -223,286 +204,209 @@ class Link:
             raise InterconnectError(f"inflate must be >= 1.0, got {inflate}")
         payload = cls.payload_bytes(payload_bytes or 0)
         wire = int((payload + self.header_overhead) * inflate)
-        ser = wire / self.bandwidth
-        disrupt = 0.0
-        if self.faults is not None:
-            ser *= self.faults.link_ser_scale(self.name, self.sim.now)
-            disrupt = self._fault_disruptions(cls, direction, ser, wire, actor)
-        wait = self._enqueue(direction, ser, actor)
-        self.stats[direction].note(cls, payload, wire, ser)
-        if charge_queueing:
-            return wait + disrupt
-        return disrupt
+        stats = self.stats[direction]
+        return self._book(
+            direction, payload, wire, wire / self.bandwidth, charge_queueing,
+            stats.agg, stats.class_cell(cls), actor,
+        )
 
-    def _fault_disruptions(
-        self, cls: MessageClass, direction: int, ser: float, wire: int, actor: str
+    def _book(
+        self, d: int, payload: int, wire: int, ser: float, charge: bool,
+        agg: list, cell: list, actor: str, lat: Optional[float] = None,
     ) -> float:
-        """Draw one per-message link fault; return the extra delivery delay.
+        """Book one message on direction ``d``: the link's only charging code.
 
-        Coherent links never surface loss to the protocol layer: a
-        dropped flit is retransmitted by the link layer, so a "drop"
-        manifests as extra latency plus a second (wasted) copy on the
-        wire. Duplicates likewise burn bandwidth without delaying the
-        original. Both wasted copies are booked through ``_enqueue`` and
-        counted in the stats with zero payload bytes.
-        """
-        # repro: allow(zero-cost-hooks) every caller guards on self.faults
-        fault = self.faults.link_decide(self.name, self.sim.now)
-        if fault is None:
-            return 0.0
-        if fault.retransmit or fault.duplicate:
-            self._enqueue(direction, ser, actor)
-            self.stats[direction].note(cls, 0, wire, ser)
-        if fault.retransmit:
-            return fault.extra_ns + ser
-        return fault.extra_ns
+        Every sender ends here — :meth:`occupy`, :meth:`one_way`, both
+        rows of :meth:`occupy_pair` and each hop of
+        :meth:`repro.topology.net.Router.charge` — with the message's
+        resolved ``payload``/``wire``/``ser`` figures and the live
+        :class:`LinkStats` cells ``agg`` and ``cell`` of its direction
+        and class. In order, it:
 
-    #: Utilization-measurement window, ns.
-    WINDOW_NS = 2000.0
-    #: Utilization cap: keeps the M/D/1 wait finite at saturation.
-    RHO_CAP = 0.97
+        * draws the message's link fault when an injector is attached:
+          an active degrade window scales ``ser``, and a drop or
+          duplicate books one wasted copy first. Coherent links never
+          surface loss to the protocol layer — a dropped flit is
+          retransmitted by the link layer — so a drop costs extra
+          latency plus a second copy on the wire, and a duplicate burns
+          the bandwidth without delaying the original. The wasted copy
+          is counted with zero payload bytes;
+        * rolls the utilization window on simulator time and adds the
+          message's serialization demand to ``actor``'s share;
+        * bumps the statistics cells;
+        * when ``charge`` is set, computes the queueing wait.
 
-    def _enqueue(self, direction: int, ser: float, actor: str) -> float:
-        """Record ``ser`` ns of demand by ``actor``; return the wait.
+        The wait is the smaller of two congestion regimes, both driven
+        by the utilization that *other* actors offer (an actor's own
+        stream is already paced by the latency charged to it, so it
+        never queues behind itself):
 
-        Windows roll on wall (simulator) time; demand is accounted per
-        actor. The wait charged to a message is an M/D/1-style
-        ``ser * rho / (1 - rho)`` where rho is the utilization offered
-        by *other* actors — an actor's own stream is already paced by
-        the latency charged to it, so it never queues behind itself.
+        * M/D/1 residual wait ``ser * rho / (1 - rho)`` — right for a
+          light actor slipping messages between heavy streams;
+        * proportional fair share — right at saturation, where each
+          heavy stream gets capacity * (its demand / total demand) and
+          the M/D/1 pole would overshoot.
+
+        Returns ``wait + disrupt`` when ``lat`` is None (the
+        :meth:`occupy` contract) and the delivery delay
+        ``wait + ser + lat + disrupt`` otherwise (:meth:`one_way`),
+        where ``disrupt`` is the fault's extra latency and ``wait`` is
+        0.0 for rows with ``charge`` False.
         """
         t = self.sim.now
-        elapsed = t - self._win_start[direction]
-        if elapsed >= self.WINDOW_NS:
-            self._rho[direction] = min(
-                self.RHO_CAP, self._win_busy[direction] / elapsed
-            )
-            self._rho_by[direction] = {
-                a: min(self.RHO_CAP, busy / elapsed)
-                for a, busy in self._win_by[direction].items()
+        fault = None
+        faults = self.faults
+        if faults is not None:
+            ser *= faults.link_ser_scale(self.name, t)
+            fault = faults.link_decide(self.name, t)
+        win_busy = self._win_busy
+        win_by = self._win_by
+        win_start = self._win_start
+        rho_settled = self._rho
+        window = self.WINDOW_NS
+        elapsed = t - win_start[d]
+        if elapsed >= window:
+            cap = self.RHO_CAP
+            rho_settled[d] = min(cap, win_busy[d] / elapsed)
+            self._rho_by[d] = {
+                a: min(cap, busy / elapsed)
+                for a, busy in win_by[d].items()
             }
-            self._win_start[direction] = t
-            self._win_busy[direction] = 0.0
-            self._win_by[direction] = {}
-        self._win_busy[direction] += ser
-        by = self._win_by[direction]
-        by[actor] = by.get(actor, 0.0) + ser
-        settled_others = max(
-            0.0, self._rho[direction] - self._rho_by[direction].get(actor, 0.0)
-        )
-        if settled_others <= 0.0 and self._win_busy[direction] == by[actor]:
-            # Sole actor, nothing settled from others: live_others and
-            # the clipped settled share are both exactly 0.0.
-            return 0.0
-        live_elapsed = max(self.WINDOW_NS / 4, t - self._win_start[direction] + ser)
-        live_others = (self._win_busy[direction] - by[actor]) / live_elapsed
-        rho_others = min(self.RHO_CAP, max(settled_others, live_others))
-        if rho_others <= 0.0:
-            return 0.0
-        # Two congestion regimes, take whichever binds less:
-        #  * M/D/1 residual wait — right for a light actor slipping
-        #    messages between heavy streams;
-        #  * proportional fair share — right at saturation, where each
-        #    heavy stream gets capacity * (its demand / total demand)
-        #    and the M/D/1 pole would overshoot.
-        mm1 = ser * rho_others / (1.0 - rho_others)
-        own = max(by[actor], ser)
-        total = self._win_busy[direction]
-        settled_total = self._rho[direction]
-        live_total = total / live_elapsed
-        rho_total = min(1.0, max(settled_total, live_total))
-        fair = ser * max(0.0, total / own - 1.0) * rho_total * rho_total
-        return min(mm1, fair)
+            win_start[d] = t
+            win_busy[d] = 0.0
+            win_by[d] = {}
+        by = win_by[d]
+        if fault is not None and (fault.retransmit or fault.duplicate):
+            # The wasted copy: demand and stats, but no payload bytes.
+            win_busy[d] += ser
+            by[actor] = by.get(actor, 0.0) + ser
+            agg[0] += 1
+            agg[2] += wire
+            agg[3] += ser
+            cell[0] += 1
+            cell[1] += wire
+        busy = win_busy[d] + ser
+        win_busy[d] = busy
+        try:
+            mine = by[actor] + ser
+        except KeyError:
+            mine = ser
+        by[actor] = mine
+        agg[0] += 1
+        agg[1] += payload
+        agg[2] += wire
+        agg[3] += ser
+        cell[0] += 1
+        cell[1] += wire
+        wait = 0.0
+        if charge:
+            try:
+                settled_others = rho_settled[d] - self._rho_by[d][actor]
+            except KeyError:
+                settled_others = rho_settled[d]
+            # Sole actor in the live window with nothing settled from
+            # others: live_others is exactly 0.0 and the clipped
+            # settled share is 0.0, so the wait is 0.0 — skip its
+            # arithmetic entirely (the dominant uncontended case).
+            if busy != mine or settled_others > 0.0:
+                if settled_others < 0.0:
+                    settled_others = 0.0
+                live_elapsed = t - win_start[d] + ser
+                live_floor = window / 4
+                if live_elapsed < live_floor:
+                    live_elapsed = live_floor
+                live_others = (busy - mine) / live_elapsed
+                rho_others = settled_others if settled_others >= live_others else live_others
+                cap = self.RHO_CAP
+                if rho_others > cap:
+                    rho_others = cap
+                if rho_others > 0.0:
+                    mm1 = ser * rho_others / (1.0 - rho_others)
+                    own = mine if mine >= ser else ser
+                    settled_total = rho_settled[d]
+                    live_total = busy / live_elapsed
+                    rho_total = settled_total if settled_total >= live_total else live_total
+                    if rho_total > 1.0:
+                        rho_total = 1.0
+                    over = busy / own - 1.0
+                    if over < 0.0:
+                        over = 0.0
+                    fair = ser * over * rho_total * rho_total
+                    wait = mm1 if mm1 <= fair else fair
+        if fault is None:
+            if lat is None:
+                return wait
+            return wait + ser + lat
+        disrupt = fault.extra_ns + ser if fault.retransmit else fault.extra_ns
+        if lat is None:
+            return wait + disrupt
+        return wait + ser + lat + disrupt
 
     def occupy_pair(self, plan: tuple, actor: str, base: float = 0.0) -> float:
         """Charge a flattened two-message plan; return ``base`` + waits.
 
         The coherence fabric's memoized transition plans always pair one
         request message with one response on the opposite half of the
-        duplex link, so the whole plan is a flat 16-field tuple — two
-        ``(direction, cls, payload, wire, ser, charge_queueing, agg,
-        class_cell)`` rows concatenated — that unpacks in one step and
-        runs straight-line. ``wire``/``ser`` are resolved against the
-        current bandwidth and header configuration and ``agg``/
-        ``class_cell`` are the live statistics cells of each direction's
-        :class:`LinkStats` (the fabric rebuilds its plans via
-        :attr:`on_scaled` when either goes stale — both :meth:`scaled`
-        and :meth:`reset_stats` fire it). The accounting is
-        bit-identical to calling :meth:`occupy` once per row — same
-        window rolls, same per-actor demand updates, same wait
-        arithmetic in the same evaluation order — batching away only
-        the per-call validation, payload resolution and attribute
-        traffic. Rows with ``charge_queueing`` False still consume
-        window demand but add nothing to the returned total. With
-        faults attached this falls back to per-message :meth:`occupy`
-        so fault draws keep their order.
+        duplex link, so the whole plan is two :meth:`plan_occupy` rows
+        concatenated into one flat 14-field tuple that unpacks in one
+        step. Each row is booked by :meth:`_book` exactly as
+        :meth:`occupy` books it — fault draws included, in row order —
+        so the result is bit-identical to two :meth:`occupy` calls;
+        only the per-call validation and payload resolution are
+        batched away. Rows with ``charge_queueing`` False still consume
+        window demand but add nothing (not even a fault's extra
+        latency) to the returned total.
         """
-        (d0, cls0, payload0, wire0, ser0, charge0, agg0, cell0,
-         d1, cls1, payload1, wire1, ser1, charge1, agg1, cell1) = plan
-        if self.faults is not None:
-            wait = self.occupy(
-                cls0, d0, payload_bytes=payload0 or None,
-                charge_queueing=charge0, actor=actor,
-            )
-            if charge0:
-                base += wait
-            wait = self.occupy(
-                cls1, d1, payload_bytes=payload1 or None,
-                charge_queueing=charge1, actor=actor,
-            )
-            if charge1:
-                base += wait
-            return base
-        window = self.WINDOW_NS
-        cap = self.RHO_CAP
-        t = self.sim.now
-        win_busy = self._win_busy
-        win_by = self._win_by
-        win_start = self._win_start
-        rho_settled = self._rho
-        rho_by = self._rho_by
-        live_floor = window / 4
-        # --- request row
-        elapsed = t - win_start[d0]
-        if elapsed >= window:
-            rho_settled[d0] = min(cap, win_busy[d0] / elapsed)
-            rho_by[d0] = {
-                a: min(cap, busy / elapsed)
-                for a, busy in win_by[d0].items()
-            }
-            win_start[d0] = t
-            win_busy[d0] = 0.0
-            win_by[d0] = {}
-        busy = win_busy[d0] + ser0
-        win_busy[d0] = busy
-        by = win_by[d0]
-        try:
-            mine = by[actor] + ser0
-        except KeyError:
-            mine = ser0
-        by[actor] = mine
-        agg0[0] += 1
-        agg0[1] += payload0
-        agg0[2] += wire0
-        agg0[3] += ser0
-        cell0[0] += 1
-        cell0[1] += wire0
+        (d0, payload0, wire0, ser0, charge0, agg0, cell0,
+         d1, payload1, wire1, ser1, charge1, agg1, cell1) = plan
+        wait = self._book(d0, payload0, wire0, ser0, charge0, agg0, cell0, actor)
         if charge0:
-            try:
-                settled_others = rho_settled[d0] - rho_by[d0][actor]
-            except KeyError:
-                settled_others = rho_settled[d0]
-            # Sole actor in the live window with nothing settled from
-            # others: live_others is exactly 0.0 and the clipped
-            # settled share is 0.0, so the wait would be 0.0 — skip
-            # its arithmetic entirely (the dominant uncontended case).
-            if busy != mine or settled_others > 0.0:
-                if settled_others < 0.0:
-                    settled_others = 0.0
-                live_elapsed = t - win_start[d0] + ser0
-                if live_elapsed < live_floor:
-                    live_elapsed = live_floor
-                live_others = (busy - mine) / live_elapsed
-                rho_others = settled_others if settled_others >= live_others else live_others
-                if rho_others > cap:
-                    rho_others = cap
-                if rho_others > 0.0:
-                    mm1 = ser0 * rho_others / (1.0 - rho_others)
-                    own = mine if mine >= ser0 else ser0
-                    settled_total = rho_settled[d0]
-                    live_total = busy / live_elapsed
-                    rho_total = settled_total if settled_total >= live_total else live_total
-                    if rho_total > 1.0:
-                        rho_total = 1.0
-                    over = busy / own - 1.0
-                    if over < 0.0:
-                        over = 0.0
-                    fair = ser0 * over * rho_total * rho_total
-                    base += mm1 if mm1 <= fair else fair
-        # --- response row (opposite direction, so state is independent)
-        elapsed = t - win_start[d1]
-        if elapsed >= window:
-            rho_settled[d1] = min(cap, win_busy[d1] / elapsed)
-            rho_by[d1] = {
-                a: min(cap, busy / elapsed)
-                for a, busy in win_by[d1].items()
-            }
-            win_start[d1] = t
-            win_busy[d1] = 0.0
-            win_by[d1] = {}
-        busy = win_busy[d1] + ser1
-        win_busy[d1] = busy
-        by = win_by[d1]
-        try:
-            mine = by[actor] + ser1
-        except KeyError:
-            mine = ser1
-        by[actor] = mine
-        agg1[0] += 1
-        agg1[1] += payload1
-        agg1[2] += wire1
-        agg1[3] += ser1
-        cell1[0] += 1
-        cell1[1] += wire1
+            base += wait
+        wait = self._book(d1, payload1, wire1, ser1, charge1, agg1, cell1, actor)
         if charge1:
-            try:
-                settled_others = rho_settled[d1] - rho_by[d1][actor]
-            except KeyError:
-                settled_others = rho_settled[d1]
-            if busy != mine or settled_others > 0.0:
-                if settled_others < 0.0:
-                    settled_others = 0.0
-                live_elapsed = t - win_start[d1] + ser1
-                if live_elapsed < live_floor:
-                    live_elapsed = live_floor
-                live_others = (busy - mine) / live_elapsed
-                rho_others = settled_others if settled_others >= live_others else live_others
-                if rho_others > cap:
-                    rho_others = cap
-                if rho_others > 0.0:
-                    mm1 = ser1 * rho_others / (1.0 - rho_others)
-                    own = mine if mine >= ser1 else ser1
-                    settled_total = rho_settled[d1]
-                    live_total = busy / live_elapsed
-                    rho_total = settled_total if settled_total >= live_total else live_total
-                    if rho_total > 1.0:
-                        rho_total = 1.0
-                    over = busy / own - 1.0
-                    if over < 0.0:
-                        over = 0.0
-                    fair = ser1 * over * rho_total * rho_total
-                    base += mm1 if mm1 <= fair else fair
+            base += wait
         return base
 
-    def plan_one_way(self, cls: MessageClass, direction: int,
-                     payload_bytes: Optional[int] = None) -> tuple:
-        """Build a memoized per-hop charge row for :meth:`one_way`.
+    def plan_occupy(
+        self,
+        cls: MessageClass,
+        direction: int,
+        payload_bytes: Optional[int] = None,
+        charge_queueing: bool = True,
+    ) -> tuple:
+        """Build a memoized charge row for :meth:`occupy_pair`.
 
-        Returns the flat 14-field tuple ``(link, direction, payload,
-        wire, ser, latency, ser+latency, agg, class_cell, win_busy,
-        win_by, win_start, rho_settled, rho_by)`` — the resolved wire
-        figures plus the live statistics and utilization-window cells a
-        caller needs to replay :meth:`one_way`'s accounting without the
-        per-call validation, payload resolution, and class-cell dict
-        lookup (see :meth:`repro.topology.net.Router.charge`). The row
-        embeds mutable state that :meth:`scaled` and :meth:`reset_stats`
-        replace, so holders must drop it when :attr:`on_scaled` fires;
-        fault attachment needs no invalidation because consumers are
-        expected to re-check :attr:`faults` per charge and fall back to
-        :meth:`one_way`.
+        Returns the flat 7-field tuple ``(direction, payload, wire, ser,
+        charge_queueing, agg, class_cell)``: the message's wire figures
+        resolved against the current bandwidth and header configuration,
+        plus the live statistics cells of the direction's
+        :class:`LinkStats`. Building a row creates the class's
+        statistics cell, so a holder builds it when the message is first
+        sent, keeping per-class key order identical to per-message
+        sends. The row embeds state that :meth:`scaled` and
+        :meth:`reset_stats` replace, so holders must rebuild it when
+        :attr:`on_scaled` fires. An attached fault injector needs no
+        invalidation: :meth:`_book` consults :attr:`faults` per message.
         """
         if direction not in (0, 1):
             raise InterconnectError(f"direction must be 0 or 1, got {direction}")
         payload = cls.payload_bytes(payload_bytes or 0)
         wire = payload + self.header_overhead
-        ser = wire / self.bandwidth
         stats = self.stats[direction]
-        return (
-            self, direction, payload, wire, ser, self.latency_ns,
-            ser + self.latency_ns, stats.agg, stats.class_cell(cls),
-            self._win_busy, self._win_by, self._win_start,
-            self._rho, self._rho_by,
-        )
+        return (direction, payload, wire, wire / self.bandwidth, charge_queueing,
+                stats.agg, stats.class_cell(cls))
+
+    def plan_one_way(self, cls: MessageClass, direction: int,
+                     payload_bytes: Optional[int] = None) -> tuple:
+        """Build a memoized per-hop charge row for :meth:`one_way`.
+
+        Returns ``(link, latency)`` followed by the :meth:`plan_occupy`
+        row, so a caller (see :meth:`repro.topology.net.Router.charge`)
+        can book the hop with :meth:`_book` and get :meth:`one_way`'s
+        delivery delay. Same invalidation contract as
+        :meth:`plan_occupy`.
+        """
+        return (self, self.latency_ns) + self.plan_occupy(cls, direction, payload_bytes)
 
     def round_trip(
         self,

@@ -16,7 +16,7 @@ timing contract is **charge-at-send**: every hop's wait + serialization
 + propagation is resolved against the sender's current window state, so
 the returned delay is a pure function of simulator state at the call —
 this is what keeps sharded runs bit-identical across worker counts and
-fast/slow engine paths (no fabric fast path is involved).
+fast/slow engine paths (the same plan path serves both).
 """
 
 from __future__ import annotations
@@ -147,21 +147,19 @@ class TopologyNet:
 class Router:
     """Charges messages along shortest paths, one Link hop at a time.
 
-    On the fast path (engine not in slowpath mode) the per-hop
-    :meth:`Link.one_way` calls are replaced by memoized *charge plans*:
-    one flat row per hop (built by :meth:`Link.plan_one_way`) carrying
-    the resolved payload/wire/serialization figures plus the live
-    statistics and utilization-window cells, so :meth:`charge` runs the
-    window accounting straight-line with no per-hop validation, payload
-    resolution, or class-cell dict lookup. Plans embed state that
-    :meth:`Link.scaled` and :meth:`Link.reset_stats` replace, so the
-    Router claims every edge link's ``on_scaled`` slot (edge links have
-    no other consumer — the coherence fabric only owns the intra-host
-    links) and drops all plans when any edge is rescaled or reset,
-    mirroring the epoch invalidation of the fabric's transition plans.
-    A fault injector attached to an edge is honoured per charge: any
-    hop whose link carries ``faults`` falls back to :meth:`Link.one_way`
-    so fault draws keep their order.
+    Each ``(src, dst, class, payload)`` route is memoized as a *charge
+    plan*: one :meth:`Link.plan_one_way` row per hop carrying the
+    resolved payload/wire/serialization figures and the live statistics
+    cells, so :meth:`charge` books each hop through the link's single
+    booking routine with no per-hop validation, payload resolution, or
+    class-cell dict lookup. Plans embed state that :meth:`Link.scaled`
+    and :meth:`Link.reset_stats` replace, so the Router claims every
+    edge link's ``on_scaled`` slot (edge links have no other consumer —
+    the coherence fabric only owns the intra-host links) and drops all
+    plans when any edge is rescaled or reset, mirroring the epoch
+    invalidation of the fabric's transition plans. A fault injector
+    attached to an edge needs no special handling: the link draws its
+    faults per booked message.
     """
 
     def __init__(self, net: TopologyNet) -> None:
@@ -171,10 +169,8 @@ class Router:
         self._paths: Dict[Tuple[str, str], Tuple[Tuple[Link, int], ...]] = {}
         # (src, dst, cls, payload_bytes) -> tuple of plan_one_way rows.
         self._plans: Dict[tuple, tuple] = {}
-        self._fastpath = not net.sim.slowpath
-        if self._fastpath:
-            for link in net.links.values():
-                link.on_scaled = self._invalidate_plans
+        for link in net.links.values():
+            link.on_scaled = self._invalidate_plans
 
     def _invalidate_plans(self) -> None:
         """Drop every memoized charge plan (an edge was rescaled/reset)."""
@@ -208,14 +204,10 @@ class Router:
         Every hop books wait + serialization + propagation against its
         edge at the *current* simulator time (charge-at-send): per-edge
         occupancy, per-class stats, and any attached fault injector all
-        see the message exactly as intra-host link traffic would. The
-        fast path replays :meth:`Link.one_way`'s accounting from a
-        memoized plan — same window rolls, same per-actor demand
-        updates, same wait arithmetic in the same evaluation order — so
-        it is bit-identical to :meth:`_charge_slow`.
+        see the message exactly as intra-host link traffic would. Each
+        hop returns exactly what :meth:`Link.one_way` would, so the
+        total is the sum of per-hop ``one_way`` calls.
         """
-        if not self._fastpath:
-            return self._charge_slow(src, dst, cls, payload_bytes, actor)
         key = (src, dst, cls, payload_bytes)
         plan = self._plans.get(key)
         if plan is None:
@@ -224,95 +216,9 @@ class Router:
                 for link, direction in self.path_hops(src, dst)
             )
             self._plans[key] = plan
-        t = self.net.sim.now
-        window = Link.WINDOW_NS
-        cap = Link.RHO_CAP
-        live_floor = window / 4
         total = 0.0
-        for (link, d, payload, wire, ser, lat, ser_lat, agg, cell,
-             win_busy, win_by, win_start, rho_settled, rho_by) in plan:
-            if link.faults is not None:
-                # Fault draws must keep their per-message order; let the
-                # reference path book this hop.
-                total += link.one_way(
-                    cls, d, payload_bytes=payload_bytes, actor=actor
-                )
-                continue
-            elapsed = t - win_start[d]
-            if elapsed >= window:
-                rho_settled[d] = min(cap, win_busy[d] / elapsed)
-                rho_by[d] = {
-                    a: min(cap, busy / elapsed)
-                    for a, busy in win_by[d].items()
-                }
-                win_start[d] = t
-                win_busy[d] = 0.0
-                win_by[d] = {}
-            busy = win_busy[d] + ser
-            win_busy[d] = busy
-            by = win_by[d]
-            try:
-                mine = by[actor] + ser
-            except KeyError:
-                mine = ser
-            by[actor] = mine
-            agg[0] += 1
-            agg[1] += payload
-            agg[2] += wire
-            agg[3] += ser
-            cell[0] += 1
-            cell[1] += wire
-            try:
-                settled_others = rho_settled[d] - rho_by[d][actor]
-            except KeyError:
-                settled_others = rho_settled[d]
-            if busy == mine and settled_others <= 0.0:
-                # Sole actor in the window and nothing settled: the wait
-                # is exactly 0.0, so the hop contributes its precomputed
-                # (ser + latency) — identical to (0.0 + ser) + latency.
-                total += ser_lat
-                continue
-            if settled_others < 0.0:
-                settled_others = 0.0
-            live_elapsed = t - win_start[d] + ser
-            if live_elapsed < live_floor:
-                live_elapsed = live_floor
-            live_others = (busy - mine) / live_elapsed
-            rho_others = settled_others if settled_others >= live_others else live_others
-            if rho_others > cap:
-                rho_others = cap
-            if rho_others <= 0.0:
-                total += ser_lat
-                continue
-            mm1 = ser * rho_others / (1.0 - rho_others)
-            own = mine if mine >= ser else ser
-            settled_total = rho_settled[d]
-            live_total = busy / live_elapsed
-            rho_total = settled_total if settled_total >= live_total else live_total
-            if rho_total > 1.0:
-                rho_total = 1.0
-            over = busy / own - 1.0
-            if over < 0.0:
-                over = 0.0
-            fair = ser * over * rho_total * rho_total
-            wait = mm1 if mm1 <= fair else fair
-            total += wait + ser + lat
-        return total
-
-    def _charge_slow(
-        self,
-        src: str,
-        dst: str,
-        cls: MessageClass,
-        payload_bytes: Optional[int],
-        actor: str,
-    ) -> float:
-        """Reference hop walk: one :meth:`Link.one_way` call per hop."""
-        total = 0.0
-        for link, direction in self.path_hops(src, dst):
-            total += link.one_way(
-                cls, direction, payload_bytes=payload_bytes, actor=actor
-            )
+        for link, lat, d, payload, wire, ser, charge, agg, cell in plan:
+            total += link._book(d, payload, wire, ser, charge, agg, cell, actor, lat)
         return total
 
     def broadcast_from(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import InterconnectError
+from repro.faults import FaultInjector, FaultPlan
 from repro.interconnect import Link, MessageClass
 from repro.sim import Simulator
 
@@ -100,6 +101,90 @@ class TestUtilizationQueue:
         wait = link.occupy(MessageClass.PREFETCH, direction=0, charge_queueing=False)
         assert wait == 0.0
         assert link.stats[0].wire_bytes > 0
+
+
+def _link_fault_plan():
+    return FaultPlan.from_dict({
+        "name": "link-contract",
+        "events": [
+            {"kind": "link_drop", "probability": 0.15, "extra_ns": 300.0},
+            {"kind": "link_duplicate", "probability": 0.15},
+            {"kind": "link_degrade", "start_ns": 1000.0, "end_ns": 6000.0,
+             "factor": 0.5},
+        ],
+    })
+
+
+class TestOccupyPair:
+    """A plan charged through occupy_pair books exactly two occupy calls."""
+
+    #: Request/response rows of a demand fetch and of a prefetch (whose
+    #: rows consume bandwidth but add no wait).
+    ROWS = {
+        "demand": ((MessageClass.SNOOP, 0, True), (MessageClass.READ, 1, True)),
+        "prefetch": ((MessageClass.SNOOP, 0, False), (MessageClass.PREFETCH, 1, False)),
+    }
+
+    def _drive(self, faults):
+        sim, link = make_link(bw=20.0)
+        twin_sim, twin = make_link(bw=20.0)
+        if faults:
+            link.faults = FaultInjector(_link_fault_plan(), seed=3)
+            twin.faults = FaultInjector(_link_fault_plan(), seed=3)
+
+        def plan(rows):
+            (cls0, d0, charge0), (cls1, d1, charge1) = rows
+            return (link.plan_occupy(cls0, d0, charge_queueing=charge0)
+                    + link.plan_occupy(cls1, d1, charge_queueing=charge1))
+
+        plans = {kind: plan(rows) for kind, rows in self.ROWS.items()}
+        got, want = [], []
+        # 800 steps of 10 ns span four utilization windows; two actors
+        # interleave so each queues behind the other's demand.
+        for step in range(800):
+            sim.now = twin_sim.now = step * 10.0
+            actor = "a" if step % 3 else "b"
+            kind = "prefetch" if step % 5 == 0 else "demand"
+            got.append(link.occupy_pair(plans[kind], actor, base=7.0))
+            total = 7.0
+            for cls, direction, charge in self.ROWS[kind]:
+                wait = twin.occupy(cls, direction, charge_queueing=charge, actor=actor)
+                if charge:
+                    total += wait
+            want.append(total)
+        return link, twin, got, want
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulted"])
+    def test_matches_two_occupy_calls(self, faults):
+        link, twin, got, want = self._drive(faults)
+        assert got == want
+        assert max(got) > 7.0  # the two actors really contended
+        for direction in (0, 1):
+            assert link.stats[direction].snapshot() == twin.stats[direction].snapshot()
+            assert link.rho(direction) == twin.rho(direction)
+        assert link.rho(1) > 0.0
+        if faults:
+            assert link.faults.injection_log == twin.faults.injection_log
+            kinds = {kind for _now, kind in link.faults.injection_log}
+            assert {"link_drop", "link_duplicate"} <= kinds
+            assert link.faults.counters.snapshot()["degraded_messages"] > 0
+
+    def test_faulted_prefetch_rows_add_nothing(self):
+        # occupy returns a fault's extra latency even for an uncharged
+        # row; occupy_pair must not add it to the plan's total.
+        _sim, link = make_link(bw=20.0)
+        link.faults = FaultInjector(FaultPlan.from_dict({
+            "name": "always-delay",
+            "events": [{"kind": "link_delay", "probability": 1.0, "extra_ns": 50.0}],
+        }), seed=1)
+        plan = (
+            link.plan_occupy(MessageClass.SNOOP, 0, charge_queueing=False)
+            + link.plan_occupy(MessageClass.PREFETCH, 1, charge_queueing=False)
+        )
+        assert link.occupy_pair(plan, "a", base=3.0) == 3.0
+        assert link.occupy(
+            MessageClass.PREFETCH, 1, charge_queueing=False, actor="a"
+        ) == 50.0
 
 
 class TestUtilities:

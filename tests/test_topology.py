@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.faults import FaultInjector, FaultPlan
 from repro.interconnect import MessageClass
 from repro.obs.export import export_topology_json, load_topology_json
 from repro.shard import run_sharded, scenario, scenario_names
@@ -164,6 +165,46 @@ class TestTopologyNet:
         assert flat["h0~tor0:0:messages"] == 1
         assert flat["h1~tor0:1:messages"] == 1
         assert flat["h0~tor0:0:wire"] > 256
+
+    def test_faulted_charge_equals_per_hop_one_way(self):
+        plan = FaultPlan.from_dict({
+            "name": "edge-contract",
+            "events": [
+                {"kind": "link_drop", "probability": 0.15, "extra_ns": 300.0,
+                 "target": "edge:h0~tor0"},
+                {"kind": "link_duplicate", "probability": 0.15,
+                 "target": "edge:h0~tor0"},
+                {"kind": "link_degrade", "start_ns": 1000.0, "end_ns": 4000.0,
+                 "factor": 0.5, "target": "edge:h0~tor0"},
+            ],
+        })
+        sim, twin_sim = Simulator(), Simulator()
+        net = TopologyNet(sim, single_switch(2))
+        twin = TopologyNet(twin_sim, single_switch(2))
+        net.attach_faults(FaultInjector(plan, seed=4))
+        twin.attach_faults(FaultInjector(plan, seed=4))
+        for step in range(400):
+            sim.now = twin_sim.now = step * 15.0
+            src, dst = ("h0", "h1") if step % 2 else ("h1", "h0")
+            actor = "a" if step % 3 else "b"
+            got = net.router.charge(
+                src, dst, MessageClass.DMA_WRITE, payload_bytes=256, actor=actor
+            )
+            want = 0.0
+            for link, direction in twin.router.path_hops(src, dst):
+                want += link.one_way(
+                    MessageClass.DMA_WRITE, direction, payload_bytes=256, actor=actor
+                )
+            assert got == want
+        assert net.stats_flat() == twin.stats_flat()
+        edge = net.links["h0~tor0"]
+        twin_edge = twin.links["h0~tor0"]
+        for direction in (0, 1):
+            assert edge.stats[direction].snapshot() == twin_edge.stats[direction].snapshot()
+            assert edge.rho(direction) == twin_edge.rho(direction)
+        kinds = {kind for _now, kind in edge.faults.injection_log}
+        assert {"link_drop", "link_duplicate"} <= kinds
+        assert edge.faults.injection_log == twin_edge.faults.injection_log
 
     def test_no_edge_raises(self):
         sim = Simulator()

@@ -39,11 +39,16 @@ message rows and counter cells for one ``(operation, line situation,
 homing, requester socket)`` combination — so steady-state transitions
 skip all cost recomputation, message-size resolution and counter-name
 formatting. Plans are invalidated when the cost model is swapped, the
-link is rescaled, or the counter bag is reset. Faulted runs stay on the
-plan path: the link books every plan row through the same routine as a
-per-message :meth:`Link.occupy` (fault draws included), and the plan
-path draws snoop faults at its three remote-snoop sites in the same
-order as the reference :meth:`CoherenceFabric._miss`,
+link is rescaled, or the counter bag is reset. :meth:`access` handles
+only its single-line hot case inline; every other access (multi-line,
+or any access on the reference path) is the one-span burst
+``access_burst(agent, ((addr, size),), write)``, so
+:meth:`access_burst` is the one multi-line routine on each path.
+Faulted runs stay on the plan path: the link books every plan row
+through the same routine as a per-message :meth:`Link.occupy` (fault
+draws included), and the plan path draws snoop faults at its three
+remote-snoop sites in the same order as the reference
+:meth:`CoherenceFabric._miss`,
 :meth:`~CoherenceFabric._fill_from_dram` and
 :meth:`~CoherenceFabric._invalidate_others`. Attaching a flight recorder
 (:meth:`CoherenceFabric.attach_flight`) or a sanitizer forces the
@@ -280,12 +285,14 @@ class CoherenceFabric(Instrumented):
         self._restore_fastpath()
         self.invalidate_plans()
 
-    def _plans_live(self) -> Dict[int, tuple]:
-        """Plan table, dropped first if the counter bag was reset."""
+    def _new_plan(self, key: int, build, *args) -> tuple:
+        """Memoize ``build(*args)`` under ``key``, first dropping the table
+        if the counter bag was reset (its plans hold stale counter cells)."""
         if self.counters.epoch != self._plans_epoch:
             self._plans.clear()
             self._plans_epoch = self.counters.epoch
-        return self._plans
+        plan = self._plans[key] = build(*args)
+        return plan
 
     def _build_dram_plan(self, write: bool, socket: int) -> tuple:
         """Remote-homed DRAM fill: snoop out, data-class back."""
@@ -363,125 +370,71 @@ class CoherenceFabric(Instrumented):
         Returns the latency charged to the issuing agent in ns. The
         first line pays full (possibly pipelined, for writes) latency;
         further lines of a multi-line access overlap via ``mlp``.
+        Only the single-line plan-path case runs here; any other access
+        is the one-span burst ``access_burst(agent, ((addr, size),), write)``.
         """
-        if not self._fastpath:
-            return self._access_slow(agent, addr, size, write)
-        if size <= 0:
-            raise CoherenceError(f"access size must be positive, got {size}")
         first = addr // CACHE_LINE_SIZE
         last = (addr + size - 1) // CACHE_LINE_SIZE
-        if first == last:
-            # Hot path: the overwhelming majority of modelled accesses
-            # (descriptors, signal words, header probes) touch one line.
-            # Region resolution is deferred to the paths that need it
-            # (miss fill, prefetch bound check): a hit implies the line
-            # was installed by an earlier miss, which already validated
-            # cacheability, so skipping the lookup cannot change what an
-            # unreachable non-WB hit would have raised.
-            lines = agent._lines
-            state = lines.get(first)
-            if state is not None:
-                agent.hits += 1
-                lines.move_to_end(first)
-                if not write:
-                    total = self._l2_hit
-                elif state is _MODIFIED or state is _EXCLUSIVE:
-                    # Assigning an existing key keeps its (just-moved)
-                    # position, so no second move_to_end.
-                    lines[first] = _MODIFIED
-                    total = self._store_buffer / self.write_pipeline
-                else:
-                    self._pending_queue = 0.0
-                    latency = self._invalidate_others(agent, first)
-                    agent.set_state(first, _MODIFIED)
-                    if latency == 0.0:
-                        latency = self._local_invalidate
-                    total = latency / self.write_pipeline + self._pending_queue
-                if not agent.prefetch:
-                    return total
-                region = self._line_regions.get(first)
-                if region is None:
-                    region = self._resolve_region(addr)
+        if first != last or size <= 0 or not self._fastpath:
+            return self.access_burst(agent, ((addr, size),), write)
+        # Hot path: the overwhelming majority of modelled accesses
+        # (descriptors, signal words, header probes) touch one line.
+        # Region resolution is deferred to the paths that need it (miss
+        # fill, prefetch bound check): a hit implies the line was
+        # installed by an earlier miss, which already validated
+        # cacheability, so skipping the lookup cannot change what an
+        # unreachable non-WB hit would have raised.
+        lines = agent._lines
+        state = lines.get(first)
+        if state is not None:
+            agent.hits += 1
+            lines.move_to_end(first)
+            if not write:
+                total = self._l2_hit
+            elif state is _MODIFIED or state is _EXCLUSIVE:
+                # Assigning an existing key keeps its (just-moved)
+                # position, so no second move_to_end.
+                lines[first] = _MODIFIED
+                total = self._store_buffer / self.write_pipeline
             else:
-                region = self._line_regions.get(first)
-                if region is None:
-                    region = self._resolve_region(addr)
-                agent.misses += 1
                 self._pending_queue = 0.0
-                latency = self._miss_fast(agent, first, write, region)
-                if write:
-                    latency /= self.write_pipeline
-                total = latency + self._pending_queue
-            if agent.prefetch:
-                # Inline twin of _maybe_prefetch (stride tracking and
-                # arming rule unchanged).
-                sstate = agent.stream_state.get(region.base)
-                if sstate is None:
-                    agent.stream_state[region.base] = [first, 0]
-                else:
-                    stride = first - sstate[0]
-                    last_stride = sstate[1]
-                    sstate[0] = first
-                    sstate[1] = stride
-                    if 0 < stride <= _MAX_PREFETCH_STRIDE and (
-                        last_stride == 0 or last_stride == stride
-                    ):
-                        target = first + stride
-                        if target * 64 < region.end and target not in lines:
-                            self._prefetch_line(agent, target, region)
-            return total
-        region = self._line_regions.get(first)
-        if region is None:
-            region = self._resolve_region(addr)
-        total = 0.0
-        for index, line in enumerate(range(first, last + 1)):
+                latency = self._invalidate_others(agent, first)
+                agent.set_state(first, _MODIFIED)
+                if latency == 0.0:
+                    latency = self._local_invalidate
+                total = latency / self.write_pipeline + self._pending_queue
+            if not agent.prefetch:
+                return total
+            region = self._line_regions.get(first)
+            if region is None:
+                region = self._resolve_region(addr)
+        else:
+            region = self._line_regions.get(first)
+            if region is None:
+                region = self._resolve_region(addr)
+            agent.misses += 1
             self._pending_queue = 0.0
-            latency = self._line_access_fast(agent, line, write, region)
-            if write:
-                latency /= self.write_pipeline
-            if index > 0:
-                latency /= self.mlp
-            total += latency + self._pending_queue
-            if agent.prefetch:
-                self._maybe_prefetch(agent, line, region)
-        return total
-
-    def _access_slow(self, agent: CacheAgent, addr: int, size: int, write: bool) -> float:
-        """Reference implementation of :meth:`access` (pre-plan path)."""
-        if size <= 0:
-            raise CoherenceError(f"access size must be positive, got {size}")
-        region = self.space.region_of(addr)
-        if not region.memtype.is_cacheable:
-            raise CoherenceError(
-                f"coherent access to non-WB region {region.name!r} ({region.memtype})"
-            )
-        self._elapsed = 0.0
-        first = addr // CACHE_LINE_SIZE
-        last = (addr + size - 1) // CACHE_LINE_SIZE
-        if first == last:
-            # Hot path: the overwhelming majority of modelled accesses
-            # (descriptors, signal words, header probes) touch one line.
-            self._pending_queue = 0.0
-            latency = self._line_access(agent, first, write, region)
+            latency = self._miss_fast(agent, first, write, region)
             if write:
                 latency /= self.write_pipeline
             total = latency + self._pending_queue
-            self._elapsed = total
-            self._maybe_prefetch(agent, first, region)
-            self._elapsed = 0.0
-            return total
-        total = 0.0
-        for index, line in enumerate(range(first, last + 1)):
-            self._pending_queue = 0.0
-            latency = self._line_access(agent, line, write, region)
-            if write:
-                latency /= self.write_pipeline
-            if index > 0:
-                latency /= self.mlp
-            total += latency + self._pending_queue
-            self._elapsed = total
-            self._maybe_prefetch(agent, line, region)
-        self._elapsed = 0.0
+        if agent.prefetch:
+            # Inline twin of _maybe_prefetch (stride tracking and arming
+            # rule unchanged).
+            sstate = agent.stream_state.get(region.base)
+            if sstate is None:
+                agent.stream_state[region.base] = [first, 0]
+            else:
+                stride = first - sstate[0]
+                last_stride = sstate[1]
+                sstate[0] = first
+                sstate[1] = stride
+                if 0 < stride <= _MAX_PREFETCH_STRIDE and (
+                    last_stride == 0 or last_stride == stride
+                ):
+                    target = first + stride
+                    if target * 64 < region.end and target not in lines:
+                        self._prefetch_line(agent, target, region)
         return total
 
     def access_burst(
@@ -527,8 +480,8 @@ class CoherenceFabric(Instrumented):
                 # cannot change reachable error behaviour.
                 region = None
             while True:
-                # Inline twin of the hit cases in _line_access_fast:
-                # payload bursts are overwhelmingly warm-line traffic.
+                # Inline twin of the hit cases in _hit: payload bursts
+                # are overwhelmingly warm-line traffic.
                 # (A while walk, not range(): most spans are one line,
                 # and burst payloads dominate the span count.)
                 state = lines.get(line)
@@ -552,7 +505,7 @@ class CoherenceFabric(Instrumented):
                         latency = self._miss_fast(agent, line, write, region)
                     else:
                         # Write hit on a shared line: upgrade in place
-                        # (same sequence as _line_access_fast).
+                        # (same sequence as access() and _hit).
                         agent.hits += 1
                         lines.move_to_end(line)
                         latency = self._invalidate_others(agent, line)
@@ -601,11 +554,7 @@ class CoherenceFabric(Instrumented):
         for addr, size in spans:
             if size <= 0:
                 raise CoherenceError(f"access size must be positive, got {size}")
-            region = self.space.region_of(addr)
-            if not region.memtype.is_cacheable:
-                raise CoherenceError(
-                    f"coherent access to non-WB region {region.name!r}"
-                )
+            region = self._resolve_region(addr)
             for line in range(addr // CACHE_LINE_SIZE,
                               (addr + size - 1) // CACHE_LINE_SIZE + 1):
                 self._pending_queue = 0.0
@@ -865,30 +814,6 @@ class CoherenceFabric(Instrumented):
             )
         return latency
 
-    def _line_access_fast(
-        self, agent: CacheAgent, line: int, write: bool, region: Region
-    ) -> float:
-        """Plan-backed twin of :meth:`_line_access` (+ :meth:`_hit`)."""
-        lines = agent._lines
-        state = lines.get(line)
-        if state is not None:
-            agent.hits += 1
-            lines.move_to_end(line)
-            if not write:
-                return self._l2_hit
-            if state is _MODIFIED or state is _EXCLUSIVE:
-                # Assigning an existing key keeps its (just-moved)
-                # position, so no second move_to_end.
-                lines[line] = _MODIFIED
-                return self._store_buffer
-            latency = self._invalidate_others(agent, line)
-            agent.set_state(line, _MODIFIED)
-            if latency == 0.0:
-                latency = self._local_invalidate
-            return latency
-        agent.misses += 1
-        return self._miss_fast(agent, line, write, region)
-
     def _miss_fast(
         self, agent: CacheAgent, line: int, write: bool, region: Region
     ) -> float:
@@ -903,14 +828,10 @@ class CoherenceFabric(Instrumented):
             if region.home == agent.socket:
                 latency = self._local_dram
             else:
-                plans = self._plans
-                if self.counters.epoch != self._plans_epoch:
-                    plans.clear()
-                    self._plans_epoch = self.counters.epoch
                 key = _PLAN_DRAM + (2 if write else 0) + agent.socket
-                plan = plans.get(key)
-                if plan is None:
-                    plan = plans[key] = self._build_dram_plan(write, agent.socket)
+                plan = self._plans.get(key)
+                if plan is None or self.counters.epoch != self._plans_epoch:
+                    plan = self._new_plan(key, self._build_dram_plan, write, agent.socket)
                 base, msgs, cell = plan
                 latency = self.link.occupy_pair(msgs, agent.name, base)
                 cell[0] += 1.0
@@ -930,10 +851,6 @@ class CoherenceFabric(Instrumented):
                 dirty_holder = holder
         source = dirty_holder if dirty_holder is not None else (local_holder or remote_holder)
         if source.socket != agent.socket:
-            plans = self._plans
-            if self.counters.epoch != self._plans_epoch:
-                plans.clear()
-                self._plans_epoch = self.counters.epoch
             home_local = region.home == agent.socket
             key = (
                 _PLAN_REMOTE
@@ -941,10 +858,10 @@ class CoherenceFabric(Instrumented):
                 + (2 if home_local else 0)
                 + agent.socket
             )
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = self._build_remote_plan(
-                    write, home_local, agent.socket
+            plan = self._plans.get(key)
+            if plan is None or self.counters.epoch != self._plans_epoch:
+                plan = self._new_plan(
+                    key, self._build_remote_plan, write, home_local, agent.socket
                 )
             latency, msgs, cell, spec_cell = plan
             if spec_cell is not None:
@@ -1047,14 +964,10 @@ class CoherenceFabric(Instrumented):
             return 0.0
         if remote:
             if self._fastpath:
-                plans = self._plans
-                if self.counters.epoch != self._plans_epoch:
-                    plans.clear()
-                    self._plans_epoch = self.counters.epoch
                 key = _PLAN_UPGRADE + agent.socket
-                plan = plans.get(key)
-                if plan is None:
-                    plan = plans[key] = self._build_upgrade_plan(agent.socket)
+                plan = self._plans.get(key)
+                if plan is None or self.counters.epoch != self._plans_epoch:
+                    plan = self._new_plan(key, self._build_upgrade_plan, agent.socket)
                 base, msgs, cell = plan
                 self._pending_queue = self.link.occupy_pair(
                     msgs, agent.name, self._pending_queue
@@ -1165,14 +1078,10 @@ class CoherenceFabric(Instrumented):
         else:
             crosses = region.home != agent.socket
         if self._fastpath:
-            plans = self._plans
-            if self.counters.epoch != self._plans_epoch:
-                plans.clear()
-                self._plans_epoch = self.counters.epoch
             key = _PLAN_PREFETCH + (2 if crosses else 0) + agent.socket
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = self._build_prefetch_plan(crosses, agent.socket)
+            plan = self._plans.get(key)
+            if plan is None or self.counters.epoch != self._plans_epoch:
+                plan = self._new_plan(key, self._build_prefetch_plan, crosses, agent.socket)
             _base, msgs, cell = plan
             if msgs:
                 self.link.occupy_pair(msgs, agent.name)

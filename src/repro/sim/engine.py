@@ -472,9 +472,6 @@ class Simulator(Instrumented):
             if rec is not None:
                 self._requeue(rec)
 
-    def _call(self, fn: Callable[[], None]) -> None:
-        fn()
-
     def _step(self, proc: Process) -> None:
         if proc.done:
             self._note_done()

@@ -489,31 +489,33 @@ class TestWaivers:
             lint_source("def f(:\n", "bad.py", [WallClockRule()])
 
 
+@pytest.fixture(scope="module")
+def report():
+    """One lint walk of the shipping tree, shared by the read-only checks."""
+    return run_lint(root=SRC, tests_root=TESTS)
+
+
 class TestSelfHost:
     """The shipping tree must lint clean modulo justified waivers."""
 
-    def test_repro_tree_is_clean(self):
-        report = run_lint(root=SRC, tests_root=TESTS)
+    def test_repro_tree_is_clean(self, report):
         assert report.active == [], format_lint_findings(report)
         assert report.ok
 
-    def test_waivers_are_counted_not_silent(self):
-        report = run_lint(root=SRC, tests_root=TESTS)
+    def test_waivers_are_counted_not_silent(self, report):
         assert len(report.waived) > 0
         doc = report.as_report()
         assert doc["waived"] == len(report.waived)
         assert doc["active"] == 0
 
-    def test_report_schema_and_roundtrip(self, tmp_path):
-        report = run_lint(root=SRC, tests_root=TESTS)
+    def test_report_schema_and_roundtrip(self, report, tmp_path):
         doc = report.as_report(config={"root": SRC})
         assert doc["schema"] == LINT_SCHEMA
         path = str(tmp_path / "lint.json")
         export_lint_json(doc, path)
         assert load_lint_json(path) == doc
 
-    def test_tables_render(self):
-        report = run_lint(root=SRC, tests_root=TESTS)
+    def test_tables_render(self, report):
         assert "Lint summary" in format_lint_summary(report)
         assert "waived" in format_lint_findings(report)
 

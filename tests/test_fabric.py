@@ -1,5 +1,7 @@
 """Coherence protocol behaviour: states, latencies, counters."""
 
+import re
+
 import pytest
 
 from repro.coherence import CoherenceFabric, CostModel, LineState
@@ -21,8 +23,8 @@ COST = CostModel(
 )
 
 
-def make_fabric(mlp=10.0, write_pipeline=2.0):
-    sim = Simulator()
+def make_fabric(mlp=10.0, write_pipeline=2.0, slowpath=None):
+    sim = Simulator(slowpath=slowpath)
     space = AddressSpace()
     link = Link(sim, "upi", latency_ns=50.0, bandwidth_bytes_per_ns=66.0)
     fabric = CoherenceFabric(sim, space, COST, link, mlp=mlp, write_pipeline=write_pipeline)
@@ -73,10 +75,18 @@ class TestBasicAccesses:
             fabric.access(local, region.base, 0, write=False)
 
     def test_non_wb_region_rejected(self):
-        fabric, space, local, _peer, _remote = make_fabric()
-        region = space.allocate("mmio", 64, home=0, memtype=MemType.UNCACHEABLE)
-        with pytest.raises(CoherenceError):
-            fabric.read(local, region.base, 8)
+        # Single-line, multi-line and burst accesses, on both paths, all
+        # name the region and its memtype.
+        message = re.escape(f"non-WB region 'mmio' ({MemType.UNCACHEABLE})")
+        for slowpath in (False, True):
+            fabric, space, local, _peer, _remote = make_fabric(slowpath=slowpath)
+            region = space.allocate("mmio", 256, home=0, memtype=MemType.UNCACHEABLE)
+            with pytest.raises(CoherenceError, match=message):
+                fabric.read(local, region.base, 8)
+            with pytest.raises(CoherenceError, match=message):
+                fabric.write(local, region.base + 8, 100)
+            with pytest.raises(CoherenceError, match=message):
+                fabric.access_burst(local, [(region.base, 64), (region.base + 128, 8)], False)
 
 
 class TestHitM:

@@ -20,7 +20,7 @@ worker count, and the harness proves it on every ``--shards`` run by
 re-running the partition single-process and comparing.
 
 Running a scenario with ``REPRO_SIM_SLOWPATH=1`` disables every fast
-path (engine event-record reuse and calendar queue, fabric cost-plan
+path (engine event-record reuse and cohort draining, fabric cost-plan
 memoization, link pair batching) and must also yield the same
 fingerprint: the optimizations are behavior-preserving by construction.
 

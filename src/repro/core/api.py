@@ -20,8 +20,7 @@ without a payload, is a programming error and does raise.)
 
 Results are typed (:class:`~repro.core.results.AllocResult`,
 :class:`~repro.core.results.TxResult`,
-:class:`~repro.core.results.RxResult`); the old tuple unpacking still
-works but is deprecated.
+:class:`~repro.core.results.RxResult`) and read by attribute.
 """
 
 from __future__ import annotations

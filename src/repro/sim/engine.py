@@ -14,22 +14,25 @@ wants to sleep before its next step::
     sim.run(until=10_000)
 
 Yielding ``0`` (or any non-negative float) reschedules the process after
-that much virtual time; other processes scheduled earlier run first.
+that much virtual time; other processes scheduled earlier run first. A
+negative or NaN delay raises :class:`~repro.errors.SimulationError`, so
+the clock never runs backwards.
 Processes end by returning. The engine is deterministic: ties in time are
 broken by spawn order, then scheduling order.
 
-Two execution paths produce bit-identical schedules:
+Pending events live in one binary heap keyed on ``(when, seq)``. Two
+execution loops pop it and produce bit-identical schedules:
 
-* The default fast path reuses one mutable event record per process step
-  instead of allocating a fresh tuple, dispatches a rescheduled step
-  directly when it is strictly earlier than every queued event (the
-  dominant single-runnable-process case), and transparently switches to a
-  bucketed :class:`~repro.sim.calqueue.CalendarQueue` when the pending
-  event count grows large.
+* The default fast loop drains same-timestamp cohorts in one pass, reuses
+  one mutable event record per process step instead of allocating a
+  fresh one, and dispatches a rescheduled step directly when it is
+  strictly earlier than every queued event (the dominant
+  single-runnable-process case).
 * Setting ``REPRO_SIM_SLOWPATH=1`` in the environment (or passing
-  ``slowpath=True``) selects the straightforward heap-per-event loop the
-  engine originally shipped with. It exists as an escape hatch and as the
-  reference implementation the determinism tests compare against.
+  ``slowpath=True``) selects the straightforward pop-one-event loop. It
+  carries the :attr:`Simulator.chooser` hook for the schedule explorer
+  and is the reference the determinism tests compare the fast loop
+  against.
 
 ``events_executed`` counts an event as executed the moment it is taken
 off the queue, *before* its handler runs. If a process step raises, the
@@ -47,7 +50,6 @@ from typing import Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.instrument import Instrumented
-from repro.sim.calqueue import CalendarQueue
 
 #: Type of the generators the engine runs.
 ProcessBody = Generator[float, None, None]
@@ -135,10 +137,6 @@ class Simulator(Instrumented):
             in one interpreter.
     """
 
-    #: Pending-event count at which the fast path migrates the heap into
-    #: a bucketed calendar queue (O(1)-ish hold/pop under heavy load).
-    CALENDAR_THRESHOLD = 4096
-
     #: Optional :class:`repro.obs.timeline.TimelineSampler`; when
     #: attached, window rolls piggyback on clock advances. Never
     #: scheduled as an event, so ``events_executed``/``now`` — and run
@@ -158,7 +156,6 @@ class Simulator(Instrumented):
     def __init__(self, slowpath: Optional[bool] = None) -> None:
         self.now: float = 0.0
         self._heap: list = []
-        self._cal: Optional[CalendarQueue] = None
         self._held: Optional[list] = None
         self._seq = 0
         self._processes: list[Process] = []
@@ -202,6 +199,8 @@ class Simulator(Instrumented):
         ``footprint`` optionally names the state the process touches
         (see :class:`Process`); it only matters to the cohort explorer.
         """
+        if not delay >= 0:
+            raise SimulationError(f"invalid spawn delay: {delay!r}")
         self._pid_counter += 1
         proc = Process(body, name, pid=self._pid_counter, footprint=footprint)
         self._processes.append(proc)
@@ -210,40 +209,21 @@ class Simulator(Instrumented):
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run a plain callback at absolute virtual time ``when``."""
-        if when < self.now:
-            raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
+        if not when >= self.now:
+            raise SimulationError(
+                f"cannot schedule at {when!r}: must be >= now ({self.now})"
+            )
         self._schedule(when, _CALL, fn)
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Run a plain callback ``delay`` ns from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay: {delay!r}")
         self._schedule(self.now + delay, _CALL, fn)
 
     def _schedule(self, when: float, kind: int, payload) -> None:
         self._seq += 1
-        rec = [when, self._seq, kind, payload]
-        cal = self._cal
-        if cal is not None:
-            cal.push(rec)
-            return
-        heap = self._heap
-        heapq.heappush(heap, rec)
-        if (
-            len(heap) >= self.CALENDAR_THRESHOLD
-            and not self.slowpath
-            and self.chooser is None
-        ):
-            self._cal = CalendarQueue(heap)
-            self._heap = []
-
-    def _requeue(self, rec: list) -> None:
-        """Return a popped-but-unexecuted record to the pending set."""
-        cal = self._cal
-        if cal is not None:
-            cal.push(rec)
-        else:
-            heapq.heappush(self._heap, rec)
+        heapq.heappush(self._heap, [when, self._seq, kind, payload])
 
     # ------------------------------------------------------------------
     # Execution
@@ -270,15 +250,6 @@ class Simulator(Instrumented):
         is not called for it.
         """
         if self.slowpath or self.chooser is not None:
-            if self._cal is not None:
-                # A chooser attached after the fast path migrated to the
-                # calendar queue: fold the pending set back into a heap
-                # so the reference loop sees every record.
-                cal = self._cal
-                self._cal = None
-                heap = self._heap
-                while len(cal):
-                    heapq.heappush(heap, cal.pop())
             return self._run_slow(until, max_events, stop_when)
         return self._run_fast(until, max_events, stop_when)
 
@@ -319,7 +290,7 @@ class Simulator(Instrumented):
                         )
                     rec = tied.pop(index)
                     for other in tied:
-                        self._requeue(other)
+                        heapq.heappush(heap, other)
                 else:
                     rec = tied[0]
             else:
@@ -375,19 +346,12 @@ class Simulator(Instrumented):
         try:
             while True:
                 if rec is None:
-                    cal = self._cal
-                    if cal is not None:
-                        if not len(cal):
-                            self._cal = None
-                            continue
-                        rec = cal.pop()
-                    elif heap:
-                        rec = heappop(heap)
-                    else:
+                    if not heap:
                         break
+                    rec = heappop(heap)
                 when = rec[0]
                 if until is not None and when > until:
-                    self._requeue(rec)
+                    heappush(heap, rec)
                     rec = None
                     self.now = until
                     break
@@ -416,7 +380,7 @@ class Simulator(Instrumented):
                                 self._note_done()
                             else:
                                 try:
-                                    invalid = delay is None or delay < 0
+                                    invalid = not delay >= 0
                                 except TypeError:
                                     invalid = True
                                 if invalid:
@@ -430,10 +394,7 @@ class Simulator(Instrumented):
                                 self._seq += 1
                                 cur[0] = nxt
                                 cur[1] = self._seq
-                                cal = self._cal
-                                if cal is not None:
-                                    cal.push(cur)
-                                elif heap and nxt >= heap[0][0]:
+                                if heap and nxt >= heap[0][0]:
                                     heappush(heap, cur)
                                 else:
                                     rec = cur
@@ -454,23 +415,16 @@ class Simulator(Instrumented):
                         # Pull the next record; a non-tie is carried to
                         # the outer loop as the next cohort's head (no
                         # extra peek or requeue on the common path).
-                        cal = self._cal
-                        if cal is not None:
-                            if not len(cal):
-                                self._cal = None
-                                break
-                            rec = cal.pop()
-                        elif heap:
-                            rec = heappop(heap)
-                        else:
+                        if not heap:
                             break
+                        rec = heappop(heap)
                     if rec[0] != when:
                         break
             return self.now
         finally:
             self._held = None
             if rec is not None:
-                self._requeue(rec)
+                heappush(heap, rec)
 
     def _step(self, proc: Process) -> None:
         if proc.done:
@@ -483,7 +437,7 @@ class Simulator(Instrumented):
             self._note_done()
             return
         try:
-            invalid = delay is None or delay < 0
+            invalid = not delay >= 0
         except TypeError:
             invalid = True
         if invalid:
@@ -508,8 +462,6 @@ class Simulator(Instrumented):
     def pending(self) -> int:
         """Number of events currently queued (including any held record)."""
         n = len(self._heap)
-        if self._cal is not None:
-            n += len(self._cal)
         if self._held is not None:
             n += 1
         return n

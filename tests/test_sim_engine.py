@@ -1,5 +1,7 @@
 """Discrete-event engine behaviour."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -148,6 +150,83 @@ def test_negative_delay_is_error():
         sim.run()
 
 
+def _sim_at(slowpath, now):
+    """A simulator whose clock has been run forward to ``now``."""
+    sim = Simulator(slowpath=slowpath)
+
+    def idle():
+        yield now
+
+    sim.spawn(idle(), "idle")
+    sim.run()
+    assert sim.now == now
+    return sim
+
+
+_BAD_DELAYS = pytest.mark.parametrize("bad", [-5.0, math.nan], ids=["neg", "nan"])
+_BOTH_LOOPS = pytest.mark.parametrize("slowpath", [False, True])
+
+
+@_BOTH_LOOPS
+@_BAD_DELAYS
+def test_spawn_rejects_negative_or_nan_delay(slowpath, bad):
+    sim = _sim_at(slowpath, 2.0)
+    ran = []
+
+    def proc():
+        ran.append(sim.now)
+        yield 1.0
+
+    with pytest.raises(SimulationError):
+        sim.spawn(proc(), "p", delay=bad)
+    sim.run()
+    assert ran == [] and sim.now == 2.0 and sim.pending == 0
+
+
+@_BOTH_LOOPS
+@_BAD_DELAYS
+def test_yielded_negative_or_nan_delay_rejected(slowpath, bad):
+    sim = Simulator(slowpath=slowpath)
+    log = []
+
+    def bad_proc():
+        yield 1.0
+        yield bad
+
+    def good_proc():
+        yield 1.0
+        log.append(sim.now)
+        yield 1.0
+        log.append(sim.now)
+
+    sim.spawn(bad_proc(), "bad")
+    sim.spawn(good_proc(), "good")
+    with pytest.raises(SimulationError, match="invalid delay"):
+        sim.run()
+    assert sim.now == 1.0
+    # The failed process is done; the survivor resumes forward in time.
+    sim.run()
+    assert log == [1.0, 2.0] and sim.now == 2.0
+
+
+@_BOTH_LOOPS
+@pytest.mark.parametrize("when", [1.0, math.nan], ids=["past", "nan"])
+def test_call_at_rejects_past_or_nan_time(slowpath, when):
+    sim = _sim_at(slowpath, 2.0)
+    with pytest.raises(SimulationError):
+        sim.call_at(when, lambda: None)
+    assert sim.pending == 0
+
+
+@_BOTH_LOOPS
+@_BAD_DELAYS
+def test_call_after_rejects_negative_or_nan_delay(slowpath, bad):
+    sim = _sim_at(slowpath, 2.0)
+    with pytest.raises(SimulationError):
+        sim.call_after(bad, lambda: None)
+    assert sim.pending == 0
+
+
 def test_non_generator_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -244,29 +323,6 @@ def test_events_executed_equal_across_paths(slowpath):
     sim.run()
     assert sim.events_executed == 22  # 2 procs x (10 steps + final return)
     assert sim.now == 20.0
-
-
-def test_calendar_queue_engaged_past_threshold():
-    # Force the fast path so the test holds under REPRO_SIM_SLOWPATH=1.
-    sim = Simulator(slowpath=False)
-    fired = []
-    n = Simulator.CALENDAR_THRESHOLD + 100
-    for i in range(n):
-        sim.call_at(float(i), lambda i=i: fired.append(i))
-    assert sim._cal is not None  # heap migrated to the calendar queue
-    assert sim.pending == n
-    sim.run()
-    assert fired == list(range(n))
-    assert sim.events_executed == n
-
-
-def test_slowpath_never_engages_calendar_queue():
-    sim = Simulator(slowpath=True)
-    for i in range(Simulator.CALENDAR_THRESHOLD + 100):
-        sim.call_at(float(i), lambda: None)
-    assert sim._cal is None
-    sim.run()
-    assert sim._cal is None
 
 
 def test_direct_process_construction_requires_pid():
@@ -408,20 +464,17 @@ class TestChooser:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_calendar_queue_drained_for_late_chooser(self, restore_chooser):
-        # Load enough events to migrate the fast path onto the calendar
-        # queue, then attach a chooser: run() must fold the pending set
-        # back into the heap so the reference loop sees every record.
+    def test_late_chooser_sees_large_pending_set(self, restore_chooser):
+        # Schedule a large pending set, then attach a chooser: the
+        # reference loop it forces must dispatch every record, in order.
         sim = Simulator()
         hits = []
-        n = Simulator.CALENDAR_THRESHOLD + 16
+        n = 4112
         for i in range(n):
             sim.call_at(float(i + 1), lambda i=i: hits.append(i))
-        assert sim._cal is not None
         chooser = _Chooser(pick=0)
         Simulator.chooser = chooser
         sim.run()
-        assert sim._cal is None
         assert len(hits) == n
         assert hits == sorted(hits)
 

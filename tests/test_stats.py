@@ -3,8 +3,46 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Counter, Histogram, RateMeter
+
+# Samples with signed zeros and magnitudes from 1e-3 to 1e12; the ops
+# below draw from a small pool of them, so duplicates are common.
+_MAGNITUDE = st.floats(min_value=1e-3, max_value=1e12)
+_SAMPLE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-3, -1e-3, 1e12, -1e12]),
+    _MAGNITUDE,
+    _MAGNITUDE.map(lambda x: -x),
+)
+
+# One op records (True) or extends (False) with ``length`` pool values
+# taken from ``start`` with stride ``step``. Lengths up to 300 push the
+# histogram past its 256-slot initial buffer.
+_OPS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, 63),
+        st.integers(1, 7),
+        st.integers(0, 300),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _reference_percentile(ordered, pct):
+    """Nearest-rank percentile with interpolation over a sorted list."""
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (pct / 100.0) * (len(ordered) - 1)
+    low = int(math.floor(rank))
+    high = int(math.ceil(rank))
+    if low == high:
+        return ordered[low]
+    frac = rank - low
+    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 class TestCounter:
@@ -90,6 +128,47 @@ class TestHistogram:
         summary = h.summary()
         assert set(summary) == {"count", "mean", "min", "median", "p99", "max"}
         assert summary["count"] == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pool=st.lists(_SAMPLE, min_size=1, max_size=64),
+    ops=_OPS,
+    drawn_pct=st.floats(min_value=0.0, max_value=100.0),
+)
+def test_histogram_matches_sorted_list_oracle(pool, ops, drawn_pct):
+    """Every statistic equals the one computed from a plain list."""
+    h = Histogram("oracle")
+    recorded = []
+    for as_records, start, step, length in ops:
+        values = [pool[(start + i * step) % len(pool)] for i in range(length)]
+        if as_records:
+            for v in values:
+                h.record(v)
+        else:
+            h.extend(iter(values))
+        recorded.extend(values)
+        assert len(h) == len(recorded)
+        if recorded:
+            # Interleaved reads must see every sample recorded so far.
+            assert h.percentile(50.0) == _reference_percentile(
+                sorted(recorded), 50.0
+            )
+    if not recorded:
+        assert h.count == 0 and math.isnan(h.mean)
+        return
+    ordered = sorted(recorded)
+    total = 0.0
+    for v in recorded:
+        total += v
+    assert h.count == len(recorded)
+    assert h.mean == total / len(recorded)
+    assert h.minimum == ordered[0]
+    assert h.maximum == ordered[-1]
+    for pct in (0.0, 1.0, 50.0, 99.0, 99.9, 100.0, drawn_pct):
+        assert h.percentile(pct) == _reference_percentile(ordered, pct)
+    # Recording order, bit for bit (hex keeps the sign of zero).
+    assert [v.hex() for v in h.samples()] == [v.hex() for v in recorded]
 
 
 class TestRateMeter:

@@ -131,9 +131,7 @@ class KvServerApp:
         self.index = system.alloc_host("kv_index", 1 << 20)
         self._rng = make_rng(workload.seed, "kv")
         self._keys = ZipfKeys(workload.n_keys, workload.zipf_coefficient)
-        self._sizes = [
-            workload.distribution.sample(self._rng) for _ in range(workload.n_keys)
-        ]
+        self._sizes = workload.distribution.sample_many(self._rng, workload.n_keys)
         self._window_start: Optional[float] = None
         #: Server-thread busy time (processing iterations only): the
         #: per-application-thread service cost that the thread-count
@@ -222,6 +220,7 @@ class KvServerApp:
         # per-request work charges.
         rpc_ns = system.cycles(RPC_CYCLES)
         index_ns = system.cycles(INDEX_CYCLES)
+        key_base = self.workload.key_base
         while not self.done:
             ns = rpc_ns
             rx = driver.rx_burst(self.batch)
@@ -235,7 +234,7 @@ class KvServerApp:
             for pkt, buf in rx.entries:
                 rx_bufs.append(buf)
                 key = pkt.flow
-                obj_size = self._sizes[key % len(self._sizes)]
+                obj_size = self._sizes[key - key_base]
                 obj_addr = self.store.base + (key * 9600) % (store_size - 9600)
                 ns += index_ns
                 ns += fabric.read(agent, self.index.base + (key * 64) % self.index.size, 16)

@@ -1104,9 +1104,12 @@ def cmd_perf(args: argparse.Namespace) -> int:
     rows = []
     for name, entry in doc["scenarios"].items():
         speedup = entry.get("speedup")
+        # Shard loops overlap on a pool, so the split is sequential-only.
+        outside = entry["wall_s"] - entry["loop_s"] if entry["workers"] == 1 else None
         rows.append((
             name,
             f"{entry['wall_s']:.3f}",
+            f"{outside:.3f}" if outside is not None else "-",
             entry["events"],
             f"{entry['events_per_sec']:.0f}",
             entry.get("n_shards", 1),
@@ -1118,7 +1121,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     if workers:
         mode += f", {workers} worker(s)"
     print(format_table(
-        ["Scenario", "Wall [s]", "Events", "Events/sec", "Shards",
+        ["Scenario", "Wall [s]", "Setup+merge [s]", "Events", "Events/sec", "Shards",
          "Peak RSS [KB]", "Speedup"],
         rows,
         title=f"Simulator self-benchmark ({mode})",

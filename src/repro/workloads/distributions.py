@@ -13,11 +13,22 @@ Key popularity follows a Zipf distribution with coefficient 0.75 over
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 import random
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import WorkloadError
+
+
+#: Keys per ``getrandbits`` block in :meth:`ObjectSizeDistribution.sample_many`.
+#: Bounds the numpy temporaries (a few hundred KB) of a million-key draw.
+SAMPLE_BLOCK = 4096
+#: ``random.random()`` scale: a 53-bit integer times 2**-53.
+_RANDOM_SCALE = 1.0 / 9007199254740992.0
 
 
 class ObjectSizeDistribution:
@@ -26,7 +37,8 @@ class ObjectSizeDistribution:
     Defined by (cumulative_probability, size_upper_bound) breakpoints;
     within a segment sizes are sampled log-uniformly. This gives smooth,
     heavy-tailed distributions whose published percentiles we can pin
-    exactly.
+    exactly. Segment 0 starts at 16B, and the size bounds must strictly
+    increase from there, so every segment has a positive width.
     """
 
     def __init__(
@@ -38,36 +50,61 @@ class ObjectSizeDistribution:
         if not breakpoints:
             raise WorkloadError("need at least one breakpoint")
         previous = 0.0
+        low = 16
         for cum, size in breakpoints:
             if not 0.0 < cum <= 1.0 or cum < previous:
                 raise WorkloadError(f"bad cumulative probability {cum}")
-            if size <= 0 or size > max_size:
-                raise WorkloadError(f"bad size bound {size}")
+            if not low < size <= max_size:
+                raise WorkloadError(
+                    f"bad size bound {size}: bounds must strictly increase "
+                    f"from 16 and stay <= {max_size}"
+                )
             previous = cum
+            low = size
         if abs(breakpoints[-1][0] - 1.0) > 1e-9:
             raise WorkloadError("last breakpoint must have cumulative probability 1")
         self.name = name
         self.max_size = max_size
-        self._cums = [cum for cum, _size in breakpoints]
-        self._sizes = [size for _cum, size in breakpoints]
+        self._cums = np.array([cum for cum, _size in breakpoints])
+        logs = np.array([math.log(b) for b in [16] + [s for _c, s in breakpoints]])
+        self._log_low = logs[:-1]
+        self._log_span = logs[1:] - logs[:-1]
+
+    def sample_many(self, rng: random.Random, n: int) -> List[int]:
+        """Draw ``n`` object sizes in bytes.
+
+        Equal to ``n`` sequential scalar draws — per size, one
+        ``rng.random()`` picks the segment (``bisect_left`` over the
+        cumulative probabilities) and a second places the size
+        log-uniformly inside it — and leaves ``rng`` in the same state.
+        ``random()`` is built from two 32-bit Mersenne Twister words,
+        ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``, and
+        ``getrandbits(128 * m)`` returns exactly the ``4 * m`` words that
+        ``m`` sizes consume, first word lowest, so the uniforms are
+        rebuilt exactly in numpy. ``math.exp`` stays the exponential:
+        ``np.exp`` differs from libm in the last ulp on some inputs.
+        """
+        out: List[int] = []
+        last = len(self._cums) - 1
+        for start in range(0, n, SAMPLE_BLOCK):
+            m = min(SAMPLE_BLOCK, n - start)
+            raw = rng.getrandbits(128 * m).to_bytes(16 * m, "little")
+            words = np.frombuffer(raw, dtype="<u4").reshape(m, 4)
+            high = (words[:, 0::2] >> 5).astype(np.float64)
+            uniforms = (high * 67108864.0 + (words[:, 1::2] >> 6)) * _RANDOM_SCALE
+            seg = np.minimum(np.searchsorted(self._cums, uniforms[:, 0]), last)
+            logs = self._log_low[seg] + self._log_span[seg] * uniforms[:, 1]
+            values = np.fromiter(map(math.exp, logs.tolist()), np.float64, m)
+            out += np.clip(values.astype(np.int64), 1, self.max_size).tolist()
+        return out
 
     def sample(self, rng: random.Random) -> int:
         """Draw one object size in bytes."""
-        u = rng.random()
-        seg = bisect.bisect_left(self._cums, u)
-        if seg >= len(self._sizes):
-            seg = len(self._sizes) - 1
-        low = 16 if seg == 0 else self._sizes[seg - 1]
-        high = self._sizes[seg]
-        if high <= low:
-            return min(high, self.max_size)
-        log_low, log_high = math.log(low), math.log(high)
-        value = math.exp(log_low + (log_high - log_low) * rng.random())
-        return max(1, min(int(value), self.max_size))
+        return self.sample_many(rng, 1)[0]
 
     def fraction_below(self, threshold: int, rng: random.Random, n: int = 20000) -> float:
         """Empirical fraction of sampled objects smaller than ``threshold``."""
-        hits = sum(1 for _ in range(n) if self.sample(rng) < threshold)
+        hits = sum(1 for size in self.sample_many(rng, n) if size < threshold)
         return hits / n
 
 
@@ -100,13 +137,31 @@ def GeoObjectSizes() -> ObjectSizeDistribution:
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _zipf_table(n_keys: int, coefficient: float) -> Tuple[float, ...]:
+    """Cumulative Zipf probabilities of keys ``1..n_keys``, built once per shape.
+
+    The weights are normalised by their left-to-right float sum, not by
+    ``sum()``: Python 3.12 made ``sum`` of floats compensated, which
+    would move the table (and every drawn key) with the interpreter.
+    """
+    weights = [1.0 / (k ** coefficient) for k in range(1, n_keys + 1)]
+    total = 0.0
+    for w in weights:
+        total += w
+    cumulative = list(itertools.accumulate(w / total for w in weights))
+    cumulative[-1] = 1.0
+    return tuple(cumulative)
+
+
 class ZipfKeys:
     """Zipf-distributed key sampler over ``n_keys`` items.
 
     Uses the standard rejection-free inverse-CDF over precomputed
-    cumulative weights. The paper's KV workloads use coefficient 0.75
-    over 1M objects; we default to a smaller key space for simulation
-    speed (the skew, not the cardinality, drives interface behaviour).
+    cumulative weights, shared by every sampler of the same shape. The
+    paper's KV workloads use coefficient 0.75 over 1M objects; we
+    default to a smaller key space for simulation speed (the skew, not
+    the cardinality, drives interface behaviour).
     """
 
     def __init__(self, n_keys: int, coefficient: float = 0.75) -> None:
@@ -116,15 +171,7 @@ class ZipfKeys:
             raise WorkloadError("zipf coefficient must be non-negative")
         self.n_keys = n_keys
         self.coefficient = coefficient
-        weights = [1.0 / (k ** coefficient) for k in range(1, n_keys + 1)]
-        total = sum(weights)
-        cumulative: List[float] = []
-        running = 0.0
-        for w in weights:
-            running += w / total
-            cumulative.append(running)
-        cumulative[-1] = 1.0
-        self._cumulative = cumulative
+        self._cumulative = _zipf_table(n_keys, coefficient)
 
     def sample(self, rng: random.Random) -> int:
         """Draw a key index in [0, n_keys)."""

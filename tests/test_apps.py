@@ -1,9 +1,11 @@
 """Application studies: KV store and TAS-like RPC."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.loopback import InterfaceKind, build_interface
-from repro.apps.kvstore import KvServerApp, KvStudy, KvWorkload
+from repro.apps.kvstore import HEADER_BYTES, REQUEST_BYTES, KvServerApp, KvStudy, KvWorkload
 from repro.apps.tas import FlowState, RpcStudy, TasFastPath
 from repro.errors import WorkloadError
 from repro.platform import icx
@@ -44,6 +46,51 @@ class TestKvServer:
         outstanding = pool.stats.get("alloc_bufs") - pool.stats.get("free_bufs")
         # Small slack for in-flight buffers at stop time.
         assert outstanding < 128
+
+    def test_uneven_shard_serves_its_own_key_sizes(self):
+        """A shard whose key_base is not a multiple of its n_keys.
+
+        n_keys=1000 over 3 shards gives shard 1 keys 334..666 (333 keys);
+        every response must carry the size the client drew for its key.
+        """
+        from repro.shard import ScenarioSpec
+
+        spec = ScenarioSpec(name="kv_uneven", workload="kv", n_keys=1000, shards=3,
+                            n_ops=1200)
+        shard = spec.shard_specs()[1]
+        assert (shard.key_base, shard.n_keys) == (334, 333)
+
+        class Recording(KvServerApp):
+            def _ingress_ns(self, pkt):
+                requests.append(pkt)
+                return 0.0
+
+            def _egress_ns(self, pkt):
+                responses.append(pkt)
+                return 0.0
+
+        requests, responses = [], []
+        workload = KvWorkload.ads(n_keys=shard.n_keys, key_base=shard.key_base,
+                                  seed=shard.seed)
+        app = Recording(build_interface(icx(), InterfaceKind.CCNIC), workload,
+                        offered_mops=shard.offered_mops, n_ops=shard.n_ops)
+        app.run()
+        expected = {}
+        for pkt in requests:
+            key = pkt.flow - shard.key_base
+            assert 0 <= key < shard.n_keys
+            size = app._sizes[key]
+            if pkt.is_get:
+                expected.setdefault(pkt.tx_ns, Counter())[HEADER_BYTES + size] += 1
+            else:
+                assert pkt.size == min(REQUEST_BYTES + size, 9600)
+                expected.setdefault(pkt.tx_ns, Counter())[HEADER_BYTES] += 1
+        got = {}
+        for pkt in responses:
+            got.setdefault(pkt.tx_ns, Counter())[pkt.size] += 1
+        assert len(responses) == shard.n_ops
+        for tx_ns, sizes in got.items():
+            assert not sizes - expected[tx_ns]
 
 
 class TestKvStudy:

@@ -247,6 +247,8 @@ class TestShardedDeterminism:
         assert sequential.fingerprint == parallel.fingerprint
         assert sequential.doc == parallel.doc
         assert sequential.n_shards == parallel.n_shards
+        # Phase split: the shard event loops are part of the sequential wall.
+        assert 0 < sequential.loop_s < sequential.wall_s
 
     def test_four_workers_loopback(self):
         base = run_sharded("loopback_64b", workers=1, quick=True)
@@ -295,6 +297,8 @@ class TestPerfSharded:
         two = perf.run_scenario("loopback_64b", quick=True, workers=2)
         assert one.fingerprint == two.fingerprint
         assert two.workers == 2 and two.n_shards == 8
+        row = one.to_doc()
+        assert 0 < row["loop_s"] <= row["wall_s"]
 
     def test_run_suite_sharded_compare(self):
         from repro.analysis import perf

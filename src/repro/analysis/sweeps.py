@@ -66,30 +66,6 @@ def recycle_stack_sweep(
     return out
 
 
-def small_threshold_sweep(
-    spec: PlatformSpec,
-    thresholds: List[int],
-    pkt_size: int = 64,
-    n_packets: int = 8000,
-) -> List[Tuple[int, float]]:
-    """Throughput versus the small-buffer cutoff for a small-packet load.
-
-    A threshold below the packet size disables subdivision for it
-    (full 4KB buffers per packet); at or above, packets share subdivided
-    buffers and the interface's cache footprint shrinks.
-    """
-    out = []
-    for threshold in thresholds:
-        config = CcnicConfig(ring_slots=1024, recycle_stack_max=1024,
-                             small_threshold=min(threshold, 128),
-                             small_buffers=threshold > 0)
-        setup = build_interface(spec, InterfaceKind.CCNIC, config=config)
-        result = run_point(setup, pkt_size, n_packets, inflight=256,
-                           tx_batch=32, rx_batch=32)
-        out.append((threshold, result.mpps))
-    return out
-
-
 def batching_matrix(
     spec: PlatformSpec,
     kind: InterfaceKind,

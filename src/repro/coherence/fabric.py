@@ -571,6 +571,50 @@ class CoherenceFabric(Instrumented):
         self._elapsed = 0.0
         return total
 
+    def read_hit_ns(self, agent: CacheAgent, addr: int) -> Optional[float]:
+        """Cost of the next read of ``addr`` by ``agent`` if it is a plain hit.
+
+        A plain hit is a single-line plan-path read of a line the agent
+        holds, which it also touched last in its region's prefetch
+        stream: it changes only the agent's hit count, the line's LRU
+        position and the stream's stride (to 0, which never prefetches).
+        :meth:`credit_read_hits` replays any number of them in one step.
+        ``None`` otherwise, and whenever something observes accesses:
+        the reference path (flight recorder, sanitizer, slow path), a
+        fault injector, or a per-instance ``access`` wrapper such as
+        :meth:`repro.obs.spans.SpanTracer.attach_fabric`.
+        """
+        line = addr // CACHE_LINE_SIZE
+        if (
+            not self._fastpath
+            or self.faults is not None
+            or "access" in vars(self)
+            or line not in agent._lines
+        ):
+            return None
+        if agent.prefetch:
+            region = self._line_regions.get(line)
+            if region is None:
+                region = self._resolve_region(addr)
+            stream = agent.stream_state.get(region.base)
+            if stream is None or stream[0] != line:
+                return None
+        return self._l2_hit
+
+    def credit_read_hits(self, agent: CacheAgent, addr: int, count: int) -> float:
+        """Account ``count`` plain read hits of ``addr`` (see :meth:`read_hit_ns`).
+
+        Exactly what ``count`` single-line reads would leave behind, in
+        one step: the hits, one move to the LRU end and a stride-0
+        stream. Returns the cost of one hit.
+        """
+        line = addr // CACHE_LINE_SIZE
+        agent.hits += count
+        agent._lines.move_to_end(line)
+        if agent.prefetch:
+            agent.stream_state[self._line_regions[line].base][1] = 0
+        return self._l2_hit
+
     def nt_store(self, agent: CacheAgent, addr: int, size: int) -> float:
         """Non-temporal (cache-bypassing) store.
 

@@ -13,7 +13,7 @@ buffers — the "extra bookkeeping passes over the queues" of §3.4.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.coherence.cache import CacheAgent
 from repro.core.buffers import Buffer
@@ -240,6 +240,30 @@ class CcnicDriver(RecoverableDriver, Instrumented):
             span.args["received"] = len(out)
             tracer.end(span, self.interface.system.sim.now + ns)
         return RxResult(out, ns)
+
+    def idle_rx_horizon(self) -> Optional[Tuple[float, float]]:
+        """After an empty :meth:`rx_burst`: ``(horizon, ns)`` if every
+        further burst before ``horizon`` is the same empty poll costing
+        ``ns`` (see :meth:`CoherentQueue.idle_horizon`), else ``None``.
+
+        Always ``None`` while a span tracer, flight recorder or fault
+        injector would see the bursts.
+        """
+        if (
+            (self.obs_enabled and self.obs.tracer.enabled)
+            or self.flight is not None
+            or self.interface.faults is not None
+        ):
+            return None
+        return self.pair.rx.idle_horizon(self.agent)
+
+    def credit_idle_rx(self, count: int) -> None:
+        """Account ``count`` empty bursts that :meth:`idle_rx_horizon` allowed."""
+        ns = self.pair.rx.credit_empty_polls(self.agent, count)
+        rx_ns = self.rx_ns
+        for _ in range(count):
+            rx_ns += ns  # one addition per burst, so the sum rounds the same
+        self.rx_ns = rx_ns
 
     # ------------------------------------------------------------------
     # Recovery (inert until configure_recovery is called)

@@ -17,7 +17,7 @@ of the data-plane surface.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, Tuple, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.core.buffers import Buffer
 from repro.core.results import AllocResult, RxResult, TxResult
@@ -61,6 +61,13 @@ class NicDriver(Protocol):
 
     def housekeeping(self) -> float:
         """Per-iteration driver bookkeeping (no-op where unneeded)."""
+        ...
+
+    def idle_rx_horizon(self) -> Optional[Tuple[float, float]]:
+        """After an empty ``rx_burst``: ``(horizon, ns)`` if every burst
+        before ``horizon`` is the same empty poll costing ``ns``, else
+        ``None``; ``credit_idle_rx(count)`` then accounts the skipped
+        bursts. Drivers that cannot tell answer ``None``."""
         ...
 
 

@@ -29,6 +29,7 @@ and signaling modes reproduce the paper's Fig 14:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
@@ -293,6 +294,41 @@ class CoherentQueue(Instrumented):
         items, ns = self._poll_impl(agent, max_items)
         self.consumed += len(items)
         return items, ns
+
+    def idle_horizon(self, agent: CacheAgent) -> Optional[Tuple[float, float]]:
+        """After an empty poll: how long further polls stay the same.
+
+        Returns ``(horizon, ns)`` when every poll by ``agent`` before
+        ``horizon`` would again be empty and cost ``ns``: the grouped
+        layout's head line is a plain read hit in the agent's cache (see
+        :meth:`~repro.coherence.fabric.CoherenceFabric.read_hit_ns`),
+        and it stays empty until the producer writes it (``inf``: that
+        write is another event) or, if written, until the write retires
+        at its ``visible_at``. ``None`` for every other layout and
+        signalling mode, with a sanitizer attached, or when the line
+        is not such a hit.
+        """
+        if not self._grouped or self.sanitizer is not None:
+            return None
+        i0 = self.head % self.n_slots
+        first_slot = self._slots[i0]
+        if first_slot is None:
+            horizon = math.inf
+        elif first_slot is not _SKIPPED and first_slot.visible_at > self.system.sim.now:
+            horizon = first_slot.visible_at
+        else:
+            return None
+        ns = self.system.fabric.read_hit_ns(agent, self.slot_addr(self.head))
+        if ns is None:
+            return None
+        return horizon, ns
+
+    def credit_empty_polls(self, agent: CacheAgent, count: int) -> float:
+        """Account ``count`` empty polls that :meth:`idle_horizon` allowed.
+
+        Returns the cost of one of them.
+        """
+        return self.system.fabric.credit_read_hits(agent, self.slot_addr(self.head), count)
 
     def _poll_register(self, agent: CacheAgent, max_items: int) -> Tuple[List[WorkItem], float]:
         fabric = self.system.fabric

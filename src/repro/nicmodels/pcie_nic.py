@@ -668,6 +668,11 @@ class PcieNicDriver(RecoverableDriver, Instrumented):
             tracer.end(span, sim.now + ns)
         return RxResult(out, ns)
 
+    def idle_rx_horizon(self) -> None:
+        """Never eligible for idle-poll fast-forward, which replays only
+        the CC-NIC grouped ring's empty poll."""
+        return None
+
     # ------------------------------------------------------------------
     def housekeeping(self, post_target: Optional[int] = None) -> float:
         """Reap TX completions and keep blank RX buffers posted."""

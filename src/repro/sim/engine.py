@@ -40,11 +40,25 @@ failing event is therefore included in the count, ``now`` holds its
 timestamp, and ``stop_when`` is not consulted for it — the exception
 propagates out of :meth:`Simulator.run` with the simulator in that
 consistent state.
+
+**Fast-forward.** On the fast loop a process may replace a run of
+steps that it knows would each do the same thing (an idle poll loop)
+by one yield of :meth:`Simulator.resume_at`: it is resumed at the
+absolute time the skipped steps would have reached, and the skipped
+steps are *credited* to ``events_executed`` as if each had been
+dispatched. :meth:`Simulator.fast_forward_horizon` tells the process
+how far it may skip: no other event can run before that time, so the
+skipped steps would have seen nothing change but the clock.
+``stop_when`` is consulted after dispatched events only, never for a
+credited step. The reference loop has no fast-forward: there
+:meth:`~Simulator.fast_forward_horizon` answers ``None`` and every
+step is dispatched.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from typing import Callable, Generator, Iterable, Optional
 
@@ -68,6 +82,22 @@ def slowpath_requested() -> bool:
 
 class Delay(float):
     """Explicit wrapper for a yielded delay; plain floats work too."""
+
+
+class Resume:
+    """A yielded absolute resume time plus credited steps.
+
+    Made by :meth:`Simulator.resume_at`; only the fast loop accepts it.
+    """
+
+    __slots__ = ("when", "credit")
+
+    def __init__(self, when: float, credit: int) -> None:
+        self.when = when
+        self.credit = credit
+
+    def __repr__(self) -> str:
+        return f"Resume(when={self.when!r}, credit={self.credit})"
 
 
 class Process:
@@ -162,6 +192,9 @@ class Simulator(Instrumented):
         self._done_count = 0
         self._pid_counter = 0
         self.events_executed = 0
+        # The current fast-loop run's ``until`` (inf when unbounded)
+        # while fast-forward is available; None otherwise.
+        self._ff_until: Optional[float] = None
         if slowpath is None:
             slowpath = slowpath_requested()
         self.slowpath = bool(slowpath)
@@ -226,6 +259,45 @@ class Simulator(Instrumented):
         heapq.heappush(self._heap, [when, self._seq, kind, payload])
 
     # ------------------------------------------------------------------
+    # Fast-forward
+    # ------------------------------------------------------------------
+    def fast_forward_horizon(self) -> Optional[float]:
+        """Time before which no event but the caller's next step can run.
+
+        Called from inside a process step: the earliest queued event or
+        the run's ``until``, whichever is sooner. ``None`` when the run
+        may not fast-forward: the reference loop, a :attr:`chooser`, a
+        :attr:`timeline` or a ``max_events`` bound.
+        """
+        until = self._ff_until
+        if until is None or self.timeline is not None or self.chooser is not None:
+            return None
+        heap = self._heap
+        if heap and heap[0][0] < until:
+            return heap[0][0]
+        return until
+
+    def resume_at(self, when: float, credit: int) -> Resume:
+        """What a process yields to resume at absolute time ``when``.
+
+        ``credit`` steps are added to ``events_executed``: the steps the
+        process skipped instead of yielding them one delay at a time.
+        The caller owes exactness: every credited step must fall before
+        :meth:`fast_forward_horizon`, and ``when`` must be the time the
+        repeated ``t = t + delay`` of those steps reaches, not
+        ``now + credit * delay`` (which rounds differently).
+        """
+        if self._ff_until is None:
+            raise SimulationError("fast-forward needs the fast loop without max_events")
+        if not when >= self.now:
+            raise SimulationError(
+                f"cannot resume at {when!r}: must be >= now ({self.now})"
+            )
+        if not isinstance(credit, int) or credit < 0:
+            raise SimulationError(f"invalid fast-forward credit {credit!r}")
+        return Resume(when, credit)
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(
@@ -239,7 +311,10 @@ class Simulator(Instrumented):
         Args:
             until: Stop once the clock would pass this absolute time.
             max_events: Stop after this many events (safety valve).
-            stop_when: Checked after every event; True stops the run.
+                Disables fast-forward.
+            stop_when: Checked after every dispatched event; True stops
+                the run. Steps credited by a fast-forward are not
+                dispatched and do not consult it.
 
         Returns:
             The virtual time at which the run stopped.
@@ -247,7 +322,8 @@ class Simulator(Instrumented):
         ``events_executed`` is incremented when an event is dequeued,
         before its handler runs: if the handler raises, the failing
         event is counted, ``now`` is its timestamp, and ``stop_when``
-        is not called for it.
+        is not called for it. It also counts the steps a process
+        credits through :meth:`resume_at`.
         """
         if self.slowpath or self.chooser is not None:
             return self._run_slow(until, max_events, stop_when)
@@ -336,7 +412,11 @@ class Simulator(Instrumented):
           tie-breaking is preserved, and any event a ``stop_when``
           callback schedules ahead of the held record demotes it back
           onto the heap.
+        * A yielded :class:`Resume` reschedules the step at its absolute
+          time and credits its skipped steps (see :meth:`resume_at`).
         """
+        if max_events is None:
+            self._ff_until = math.inf if until is None else until
         executed = 0
         events = self.events_executed
         heap = self._heap
@@ -383,14 +463,19 @@ class Simulator(Instrumented):
                                     invalid = not delay >= 0
                                 except TypeError:
                                     invalid = True
-                                if invalid:
+                                if not invalid:
+                                    nxt = when + delay
+                                elif type(delay) is Resume:
+                                    nxt = delay.when
+                                    events += delay.credit
+                                    self.events_executed = events
+                                else:
                                     proc.done = True
                                     self._note_done()
                                     raise SimulationError(
                                         f"process {proc.name!r} yielded invalid "
                                         f"delay {delay!r}"
                                     )
-                                nxt = when + delay
                                 self._seq += 1
                                 cur[0] = nxt
                                 cur[1] = self._seq
@@ -423,6 +508,7 @@ class Simulator(Instrumented):
             return self.now
         finally:
             self._held = None
+            self._ff_until = None
             if rec is not None:
                 heappush(heap, rec)
 

@@ -31,11 +31,6 @@ def bytes_per_ns_to_gbps(bpns: float) -> float:
     return bpns * 8.0
 
 
-def gbytes_per_s_to_bytes_per_ns(gbs: float) -> float:
-    """Convert gigabytes/second to bytes/nanosecond."""
-    return gbs
-
-
 def mpps(packets: float, elapsed_ns: float) -> float:
     """Packet rate in millions of packets per second."""
     if elapsed_ns <= 0:

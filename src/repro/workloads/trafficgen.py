@@ -18,6 +18,7 @@ Two load modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -247,6 +248,7 @@ class LoopbackApp(Instrumented):
                 can_send = outstanding < inflight
             if can_send and interval is not None:
                 can_send = sim.now >= next_send
+            tx_idle = not can_send and not pending
             if can_send:
                 burst = min(tx_batch, n_packets - offered)
                 if inflight is not None:
@@ -330,12 +332,60 @@ class LoopbackApp(Instrumented):
                             flight.packet_finish(pkt.pkt_id, pkt.rx_ns)
                 ns += drv_free(bufs_to_free)
 
-            ns += drv_housekeeping()
+            housekeeping_ns = drv_housekeeping()
+            ns += housekeeping_ns
             if recovery is not None:
                 ns += driver.watchdog()
                 ns += self._write_off_losses(sim.now)
+            elif tx_idle and not entries and housekeeping_ns == 0.0:
+                send_at = math.inf
+                if interval is not None and offered < n_packets:
+                    send_at = next_send
+                resume = self._skip_idle(sim, max(ns, 1.0), loop_ns, send_at)
+                if resume is not None:
+                    yield resume
+                    continue
             yield max(ns, 1.0)
         self.done = True
+
+    def _skip_idle(self, sim, delay: float, loop_ns: float, send_at: float):
+        """Fast-forward over the idle iterations that follow this one.
+
+        This iteration submitted nothing, received nothing and did no
+        housekeeping, so the next one differs only if the clock reaches
+        ``send_at`` (the next open-loop send), the RX head slot's write
+        retires, or another event runs. Before that *horizon* each
+        iteration is the same empty RX poll, a read hit on the signal
+        line. They are credited instead of run: the driver and fabric
+        count their polls and hits, the engine counts their steps and
+        resumes the app at the time ``t = t + step`` reaches, which is
+        bit-identical to running them. Returns the engine's resume
+        token, or None when nothing can be skipped or something would
+        watch the skipped iterations (flight recorder, span tracer,
+        sanitizer, fault injector, timeline, schedule explorer).
+        """
+        if self.flight is not None:
+            return None
+        horizon = sim.fast_forward_horizon()
+        if horizon is None:
+            return None
+        rx = self.driver.idle_rx_horizon()
+        if rx is None:
+            return None
+        rx_horizon, poll_ns = rx
+        horizon = min(horizon, rx_horizon, send_at)
+        t = sim.now + delay
+        if not t < horizon < math.inf:
+            return None
+        # What each skipped iteration charges: the loop, the hit poll and
+        # housekeeping's 0.0, which leaves the sum unchanged.
+        step = max(loop_ns + poll_ns, 1.0)
+        count = 0
+        while t < horizon:
+            t += step
+            count += 1
+        self.driver.credit_idle_rx(count)
+        return sim.resume_at(t, count)
 
     def _write_off_losses(self, now: float) -> float:
         """Account packets lost to resets; expire a dead in-flight window.

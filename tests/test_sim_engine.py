@@ -485,3 +485,168 @@ class TestChooser:
         assert isinstance(proc.footprint, frozenset)
         bare = sim.spawn(_append_proc([], "b"), "b")
         assert bare.footprint is None
+
+
+# ----------------------------------------------------------------------
+# Fast-forward: fast_forward_horizon() / resume_at()
+# ----------------------------------------------------------------------
+class _Timeline:
+    """Stand-in timeline sampler whose window never closes."""
+
+    next_ns = math.inf
+
+    def roll(self, when):  # pragma: no cover - never reached
+        raise AssertionError("unexpected roll")
+
+
+class TestFastForward:
+    def test_resume_lands_at_exact_absolute_time(self):
+        sim = Simulator(slowpath=False)
+        when = 0.1 + 0.2  # not representable as now + a round delay
+        seen = []
+
+        def proc():
+            yield sim.resume_at(when, 0)
+            seen.append(sim.now)
+
+        sim.spawn(proc(), "p")
+        sim.run()
+        assert seen == [when] and sim.now == when
+
+    def test_credit_counts_as_executed_events(self):
+        sim = Simulator(slowpath=False)
+
+        def proc():
+            yield 1.0
+            yield sim.resume_at(sim.now + 5.0, 7)
+            yield 1.0
+
+        sim.spawn(proc(), "p")
+        sim.run()
+        # Three dispatched steps plus the final StopIteration step, plus
+        # the seven credited ones.
+        assert sim.events_executed == 4 + 7
+        assert sim.now == 7.0
+
+    def test_horizon_is_earliest_queued_event_or_until(self):
+        sim = Simulator(slowpath=False)
+        horizons = []
+
+        def proc():
+            horizons.append(sim.fast_forward_horizon())
+            yield 1.0
+
+        def other():
+            yield 50.0
+
+        sim.spawn(other(), "other", delay=20.0)
+        sim.spawn(proc(), "p")
+        sim.run(until=5.0)
+        sim.spawn(proc(), "p")
+        sim.run(until=100.0)
+        assert horizons == [5.0, 20.0]
+
+    def test_resume_ties_keep_seq_order(self):
+        # A process resumed at an already-queued time runs after it, as
+        # its reschedule would have under the reference loop.
+        sim = Simulator(slowpath=False)
+        order = []
+
+        def other():
+            yield 10.0
+            order.append("other")
+
+        def proc():
+            yield sim.resume_at(10.0, 3)
+            order.append("p")
+
+        sim.spawn(other(), "other")
+        sim.spawn(proc(), "p")
+        sim.run()
+        assert order == ["other", "p"]
+
+    @pytest.mark.parametrize("when", [1.0, math.nan], ids=["past", "nan"])
+    def test_resume_before_now_or_nan_rejected(self, when):
+        sim = Simulator(slowpath=False)
+        errors = []
+
+        def proc():
+            yield 2.0
+            try:
+                sim.resume_at(when, 1)
+            except SimulationError as exc:
+                errors.append(exc)
+            yield 1.0
+
+        sim.spawn(proc(), "p")
+        sim.run()
+        assert len(errors) == 1 and sim.now == 3.0 and sim.events_executed == 3
+
+    @pytest.mark.parametrize("credit", [-1, 1.5], ids=["negative", "float"])
+    def test_bad_credit_rejected(self, credit):
+        sim = Simulator(slowpath=False)
+
+        def proc():
+            with pytest.raises(SimulationError):
+                sim.resume_at(sim.now, credit)
+            yield 1.0
+
+        sim.spawn(proc(), "p")
+        sim.run()
+        assert sim.events_executed == 2
+
+    def _probe(self, sim, **run_kwargs):
+        """(horizon, resume_at error) seen by a step under ``sim.run``."""
+        seen = []
+
+        def proc():
+            horizon = sim.fast_forward_horizon()
+            try:
+                sim.resume_at(sim.now + 1.0, 1)
+            except SimulationError:
+                refused = True
+            else:
+                refused = False
+            seen.append((horizon, refused))
+            yield 1.0
+
+        sim.spawn(proc(), "p")
+        sim.run(**run_kwargs)
+        return seen
+
+    def test_fast_loop_allows_fast_forward(self):
+        assert self._probe(Simulator(slowpath=False)) == [(math.inf, False)]
+
+    def test_reference_loop_never_fast_forwards(self):
+        assert self._probe(Simulator(slowpath=True)) == [(None, True)]
+
+    def test_max_events_disables_fast_forward(self):
+        sim = Simulator(slowpath=False)
+        assert self._probe(sim, max_events=10) == [(None, True)]
+
+    def test_timeline_disables_fast_forward(self):
+        sim = Simulator(slowpath=False)
+        sim.timeline = _Timeline()
+        assert self._probe(sim)[0][0] is None
+
+    def test_chooser_disables_fast_forward(self, restore_chooser):
+        Simulator.chooser = _Chooser(pick=0)
+        assert self._probe(Simulator(slowpath=False)) == [(None, True)]
+
+    def test_outside_a_run_there_is_no_horizon(self):
+        sim = Simulator(slowpath=False)
+        assert sim.fast_forward_horizon() is None
+        with pytest.raises(SimulationError):
+            sim.resume_at(1.0, 1)
+
+    def test_reference_loop_rejects_a_yielded_resume(self):
+        from repro.sim.engine import Resume
+
+        sim = Simulator(slowpath=True)
+
+        def proc():
+            yield Resume(5.0, 1)
+
+        sim.spawn(proc(), "p")
+        with pytest.raises(SimulationError, match="invalid delay"):
+            sim.run()

@@ -35,6 +35,7 @@ from repro.workloads.distributions import (
     AdsObjectSizes,
     GeoObjectSizes,
     ObjectSizeDistribution,
+    SizeTable,
     ZipfKeys,
 )
 from repro.workloads.packets import Packet
@@ -131,7 +132,9 @@ class KvServerApp:
         self.index = system.alloc_host("kv_index", 1 << 20)
         self._rng = make_rng(workload.seed, "kv")
         self._keys = ZipfKeys(workload.n_keys, workload.zipf_coefficient)
-        self._sizes = workload.distribution.sample_many(self._rng, workload.n_keys)
+        # Object sizes: drawn now (the client's stream follows them),
+        # decoded per key on first read.
+        self._sizes = SizeTable(workload.distribution, self._rng, workload.n_keys)
         self._window_start: Optional[float] = None
         #: Server-thread busy time (processing iterations only): the
         #: per-application-thread service cost that the thread-count
@@ -280,6 +283,11 @@ class KvServerApp:
             yield max(ns, 1.0)
 
     @property
+    def mean_object_size(self) -> float:
+        """Mean size in bytes of this server's objects (all of its keys)."""
+        return self._sizes.mean()
+
+    @property
     def per_thread_mops(self) -> float:
         """Service rate of one application thread (Mops)."""
         if self.server_busy_ns <= 0:
@@ -388,7 +396,7 @@ def kv_thread_study(
         # the large-object Geo distribution in the paper).
         pkts_per_op = 2.2
         engine_cap = cx6.pps_capacity / 1e6 / pkts_per_op
-        mean_op_bytes = sum(app._sizes) / len(app._sizes) + 2 * HEADER_BYTES
+        mean_op_bytes = app.mean_object_size + 2 * HEADER_BYTES
         line_cap = cx6.line_rate_gbps * 1e3 / (mean_op_bytes * 8)
         nic_cap_mops = min(engine_cap, line_cap)
     return KvStudy(kind=kind, per_thread_mops=per_thread, peak_mops=nic_cap_mops)

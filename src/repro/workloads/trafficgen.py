@@ -87,7 +87,8 @@ class LoopbackApp(Instrumented):
     Args:
         driver: Host-side driver (CC-NIC, unoptimized-UPI, or PCIe —
             they share the same burst API).
-        pkt_size: Payload bytes per packet.
+        pkt_size: Payload bytes per packet; must fit one of the
+            driver's pool buffers.
         n_packets: Packets to send and receive before stopping.
         tx_batch: Packets submitted per burst.
         rx_batch: Maximum packets polled per burst.
@@ -148,6 +149,11 @@ class LoopbackApp(Instrumented):
             raise WorkloadError("warmup_fraction must be in [0, 1)")
         if arrivals not in ("paced", "poisson"):
             raise WorkloadError(f"unknown arrival process {arrivals!r}")
+        buf_size = driver.interface.pool.config.buf_size
+        if not 0 < pkt_size <= buf_size:
+            raise WorkloadError(
+                f"pkt_size {pkt_size}B does not fit the driver's {buf_size}B buffers"
+            )
         self.arrivals = arrivals
         self._rng = make_rng(seed, "trafficgen")
         self.driver = driver

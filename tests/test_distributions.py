@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.errors import WorkloadError
 from repro.sim.rng import make_rng
 from repro.workloads import AdsObjectSizes, GeoObjectSizes, ObjectSizeDistribution, ZipfKeys
-from repro.workloads.distributions import SAMPLE_BLOCK
+from repro.workloads.distributions import SAMPLE_BLOCK, SizeTable
 
 
 def scalar_sample(cums, sizes, max_size, rng):
@@ -131,6 +131,73 @@ class TestSampleMany:
         one, many = make_rng(12, "one"), make_rng(12, "one")
         assert [dist.sample(one) for _ in range(50)] == dist.sample_many(many, 50)
         assert one.getstate() == many.getstate()
+
+
+class TestSizeTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=breakpoint_sets(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.one_of(
+            st.sampled_from([0, 1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1]),
+            st.integers(min_value=0, max_value=3 * SAMPLE_BLOCK),
+        ),
+        order_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(shape=(ADS, 9600), seed=1, n=0, order_seed=0)
+    @example(shape=(GEO, 9600), seed=2, n=1, order_seed=0)
+    @example(shape=(ADS, 9600), seed=3, n=SAMPLE_BLOCK - 1, order_seed=1)
+    @example(shape=(GEO, 9600), seed=4, n=SAMPLE_BLOCK, order_seed=2)
+    @example(shape=(ADS, 9600), seed=5, n=SAMPLE_BLOCK + 1, order_seed=3)
+    def test_lazy_reads_equal_bulk_draw(self, shape, seed, n, order_seed):
+        """Keys read in any order give sample_many's sizes and generator state."""
+        breakpoints, max_size = shape
+        dist = ObjectSizeDistribution("p", breakpoints, max_size)
+        table_rng, bulk_rng = random.Random(seed), random.Random(seed)
+        table = SizeTable(dist, table_rng, n)
+        expected = dist.sample_many(bulk_rng, n)
+        assert table_rng.getstate() == bulk_rng.getstate()
+        assert table_rng.random() == bulk_rng.random()
+        keys = list(range(n))
+        random.Random(order_seed).shuffle(keys)
+        reads = keys[: min(n, 600)]
+        assert [table[k] for k in reads] == [expected[k] for k in reads]
+        # Memoised reads repeat; whole-table iteration agrees with them.
+        assert [table[k] for k in reads] == [expected[k] for k in reads]
+        assert len(table) == n
+        assert list(table) == expected
+
+    def test_lazy_reads_equal_scalar_draws(self):
+        rng, scalar_rng = make_rng(5, "kv"), make_rng(5, "kv")
+        table = SizeTable(AdsObjectSizes(), rng, 300)
+        cums = [cum for cum, _size in ADS]
+        sizes = [size for _cum, size in ADS]
+        expected = [scalar_sample(cums, sizes, 9600, scalar_rng) for _ in range(300)]
+        assert [table[k] for k in reversed(range(300))] == expected[::-1]
+        assert rng.getstate() == scalar_rng.getstate()
+
+    @pytest.mark.parametrize("shape", [ADS, GEO], ids=["ads", "geo"])
+    @pytest.mark.parametrize("n", [1, SAMPLE_BLOCK + 17, 32768])
+    def test_mean_equals_mean_of_draws(self, shape, n):
+        """Exactly ``sum(sizes) / n``, for the bulk and the scalar draws alike."""
+        dist = ObjectSizeDistribution("p", shape, 9600)
+        table = SizeTable(dist, make_rng(3, "kv"), n)
+        bulk = dist.sample_many(make_rng(3, "kv"), n)
+        scalar_rng = make_rng(3, "kv")
+        cums = [cum for cum, _size in shape]
+        sizes = [size for _cum, size in shape]
+        scalar = [scalar_sample(cums, sizes, 9600, scalar_rng) for _ in range(n)]
+        assert table.mean() == sum(bulk) / n == sum(scalar) / n
+
+    def test_mean_of_empty_table_rejected(self):
+        with pytest.raises(WorkloadError):
+            SizeTable(AdsObjectSizes(), make_rng(1, "kv"), 0).mean()
+
+    def test_key_outside_table_rejected(self):
+        table = SizeTable(AdsObjectSizes(), make_rng(1, "kv"), 10)
+        for key in (-1, 10):
+            with pytest.raises(WorkloadError):
+                table[key]
 
 
 class TestZipf:

@@ -101,6 +101,13 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             LoopbackApp(driver, 64, 10, inflight=1, warmup_fraction=1.0)
 
+    def test_packet_must_fit_one_buffer(self):
+        _system, driver = make()
+        LoopbackApp(driver, 4096, 10, inflight=1)
+        for size in (4097, 0):
+            with pytest.raises(WorkloadError, match=f"{size}B .*4096B"):
+                LoopbackApp(driver, size, 10, inflight=1)
+
 
 class TestPoissonArrivals:
     def test_poisson_achieves_mean_rate(self):
